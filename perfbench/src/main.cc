@@ -159,7 +159,7 @@ void PrintWorkloadNames(const Workload& workload, const PhaseResult& phase) {
                               .c_str());
   } else if (name == "reuse") {
     std::printf("  query_per_s %.6g 1/s\n  query_p50_ms %.6g ms\n"
-                "  query_p99_ms %.6g ms\n  variant recall %.4f\n",
+                "  query_p95_ms %.6g ms\n  variant recall %.4f\n",
                 phase.ops_per_s, phase.latency_p50_ms, phase.latency_tail_ms,
                 recall);
   } else {

@@ -4,6 +4,7 @@
 // the first failed check. Run it through `python3 perfbench/run.py
 // --selftest`.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -59,23 +60,35 @@ void TestPercentiles() {
 }
 
 void TestWindows() {
-  // 10 completions in [0,1), 20 in [1,2), one past the span.
-  std::vector<double> done;
-  std::vector<double> values;
-  for (int i = 0; i < 10; ++i) {
-    done.push_back(0.05 + 0.09 * i);
-    values.push_back(1.0);
-  }
-  for (int i = 0; i < 20; ++i) {
-    done.push_back(1.02 + 0.045 * i);
-    values.push_back(3.0);
-  }
-  done.push_back(2.5);
-  values.push_back(100.0);
-  const std::vector<double> rates = WindowRates(done, 1.0, 2.0);
+  // 10 completions in [0,1), 20 in [1,2), 5 in the partial window [2,2.5),
+  // one past the span.
+  WindowCounter first(1.0, 2.5);
+  WindowCounter second(1.0, 2.5);
+  for (int i = 0; i < 10; ++i) first.Add(0.05 + 0.09 * i);
+  for (int i = 0; i < 20; ++i) second.Add(1.02 + 0.045 * i);
+  for (int i = 0; i < 5; ++i) second.Add(2.1 + 0.05 * i);
+  second.Add(2.6);
+  first.Merge(second);
+  const std::vector<double> rates = first.Rates(2.5);
   SELFTEST_CHECK(rates.size() == 2 && rates[0] == 10.0 && rates[1] == 20.0);
-  const std::vector<double> p50 = WindowPercentiles(done, values, 0.5, 1.0, 2.0);
-  SELFTEST_CHECK(p50.size() == 2 && p50[0] == 1.0 && p50[1] == 3.0);
+  SELFTEST_CHECK(first.Rates(1.5).size() == 1);
+  SELFTEST_CHECK(WindowCounter(1.0, 3.0).Rates(3.0).size() == 3);
+}
+
+void TestReservoir() {
+  // Below capacity the reservoir keeps every value; above it, a uniform
+  // sample: the median of 1..100000 sampled 10000 times stays near 50000.
+  Reservoir small(10, 1);
+  for (int i = 0; i < 5; ++i) small.Add(i);
+  SELFTEST_CHECK(small.offered() == 5 && small.samples().size() == 5);
+  Reservoir big(10000, 1);
+  for (int i = 1; i <= 100000; ++i) big.Add(i);
+  SELFTEST_CHECK(big.offered() == 100000 && big.samples().size() == 10000);
+  const double median = Median(big.samples());
+  SELFTEST_CHECK(median > 48000.0 && median < 52000.0);
+  Reservoir again(10000, 1);
+  for (int i = 1; i <= 100000; ++i) again.Add(i);
+  SELFTEST_CHECK(again.samples() == big.samples());
 }
 
 void TestReport() {
@@ -161,12 +174,21 @@ void TestInputsAreSeeded() {
   SELFTEST_CHECK(detect(7) != detect(8));
 
   const auto reuse = [&](uint64_t seed) {
-    const ReuseInputs in = MakeReuseInputs(catalog, 20, 3, 30, 2000, seed);
+    const ReuseInputs in = MakeReuseInputs(catalog, 20, 3, 30, 2000, 100, seed);
     return InputFingerprint(in.texts) + ArrivalText(in.arrivals) +
            std::to_string(in.data.seed);
   };
   SELFTEST_CHECK(reuse(7) == reuse(7));
   SELFTEST_CHECK(reuse(7) != reuse(8));
+  // The fixture part of the stream is the same for every seed.
+  const ReuseInputs r7 = MakeReuseInputs(catalog, 20, 3, 30, 2000, 100, 7);
+  const ReuseInputs r8 = MakeReuseInputs(catalog, 20, 3, 30, 2000, 100, 8);
+  SELFTEST_CHECK(InputFingerprint({r7.texts.begin(), r7.texts.begin() + 80}) ==
+                 InputFingerprint({r8.texts.begin(), r8.texts.begin() + 80}));
+  SELFTEST_CHECK(std::equal(r7.arrivals.begin(), r7.arrivals.begin() + 100,
+                            r8.arrivals.begin()));
+  SELFTEST_CHECK(!std::equal(r7.arrivals.begin() + 100, r7.arrivals.end(),
+                             r8.arrivals.begin() + 100));
 
   const auto ingest = [&](uint64_t seed) {
     const IngestInputs in = MakeIngestInputs(catalog, 50, 200, 0.1, 40, seed);
@@ -181,7 +203,7 @@ void TestInputsAreSeeded() {
   SELFTEST_CHECK(d.subexpressions.size() == 120 && d.planted.size() == 12);
   SELFTEST_CHECK(d.TotalPairs() == 120 * 119 / 2);
   for (const auto& [i, j] : d.planted) SELFTEST_CHECK(i < j && j < 120);
-  const ReuseInputs r = MakeReuseInputs(catalog, 20, 3, 30, 2000, 3);
+  const ReuseInputs r = MakeReuseInputs(catalog, 20, 3, 30, 2000, 100, 3);
   SELFTEST_CHECK(r.texts.size() == 20 * 4 + 30 && r.arrivals.size() == 2000);
   for (uint32_t a : r.arrivals) SELFTEST_CHECK(a < r.texts.size());
   SELFTEST_CHECK(r.ClassOfText(5) == 1 && r.ClassOfText(80) == 20);
@@ -200,6 +222,7 @@ int main() {
   using namespace perfbench;
   TestPercentiles();
   TestWindows();
+  TestReservoir();
   TestReport();
   TestSpans();
   TestInputsAreSeeded();

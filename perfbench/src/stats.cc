@@ -51,36 +51,48 @@ Summary Summarize(std::vector<double> samples) {
   return summary;
 }
 
-std::vector<double> WindowRates(const std::vector<double>& completion_s,
-                                double window_s, double span_s) {
-  const size_t windows = static_cast<size_t>(span_s / window_s);
-  std::vector<double> counts(windows, 0.0);
-  for (double t : completion_s) {
-    const size_t w = static_cast<size_t>(t / window_s);
-    if (t >= 0.0 && w < windows) counts[w] += 1.0;
-  }
-  for (double& count : counts) count /= window_s;
-  return counts;
+WindowCounter::WindowCounter(double window_s, double span_s)
+    : window_s_(window_s),
+      counts_(static_cast<size_t>(std::ceil(span_s / window_s)), 0) {}
+
+void WindowCounter::Add(double t) {
+  const size_t w = static_cast<size_t>(t / window_s_);
+  if (t >= 0.0 && w < counts_.size()) ++counts_[w];
 }
 
-std::vector<double> WindowPercentiles(const std::vector<double>& completion_s,
-                                      const std::vector<double>& values,
-                                      double q, double window_s,
-                                      double span_s) {
-  const size_t windows = static_cast<size_t>(span_s / window_s);
-  std::vector<std::vector<double>> buckets(windows);
-  for (size_t i = 0; i < completion_s.size() && i < values.size(); ++i) {
-    const double t = completion_s[i];
-    const size_t w = static_cast<size_t>(t / window_s);
-    if (t >= 0.0 && w < windows) buckets[w].push_back(values[i]);
+void WindowCounter::Merge(const WindowCounter& other) {
+  for (size_t w = 0; w < counts_.size() && w < other.counts_.size(); ++w) {
+    counts_[w] += other.counts_[w];
   }
-  std::vector<double> out;
-  for (auto& bucket : buckets) {
-    if (bucket.empty()) continue;
-    std::sort(bucket.begin(), bucket.end());
-    out.push_back(Percentile(bucket, q));
+}
+
+std::vector<double> WindowCounter::Rates(double end_s) const {
+  std::vector<double> rates;
+  for (size_t w = 0; w < counts_.size(); ++w) {
+    if (static_cast<double>(w + 1) * window_s_ > end_s + 1e-9) break;
+    rates.push_back(static_cast<double>(counts_[w]) / window_s_);
   }
-  return out;
+  return rates;
+}
+
+Reservoir::Reservoir(size_t capacity, uint64_t seed)
+    : capacity_(capacity), state_(seed) {
+  samples_.reserve(capacity);
+}
+
+void Reservoir::Add(double value) {
+  ++offered_;
+  if (samples_.size() < capacity_) {
+    samples_.push_back(value);
+    return;
+  }
+  // splitmix64
+  uint64_t z = (state_ += 0x9E3779B97F4A7C15ULL);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  z ^= z >> 31;
+  const uint64_t slot = z % offered_;
+  if (slot < capacity_) samples_[slot] = value;
 }
 
 double Ratio(uint64_t numerator, uint64_t denominator) {

@@ -31,19 +31,40 @@ struct Summary {
 };
 Summary Summarize(std::vector<double> samples);
 
-/// Completions per second in each full \p window_s window of [0, \p span_s),
-/// from completion times in seconds since the start of the interval. The
-/// median of these rates is robust to a short stall of the host.
-std::vector<double> WindowRates(const std::vector<double>& completion_s,
-                                double window_s, double span_s);
+/// \brief Completions per fixed-length window of a phase, in memory that
+/// does not grow with the number of completions. The median of the
+/// windows' rates is robust to a short stall of the host.
+class WindowCounter {
+ public:
+  /// Windows of \p window_s seconds covering [0, \p span_s).
+  WindowCounter(double window_s, double span_s);
+  /// Counts a completion \p t seconds after the start of the phase.
+  void Add(double t);
+  void Merge(const WindowCounter& other);
+  /// Completions per second in each full window that ends by \p end_s.
+  std::vector<double> Rates(double end_s) const;
 
-/// The \p q percentile of \p values within each full window (as in
-/// WindowRates; values[i] completed at completion_s[i]). Windows with no
-/// sample are skipped.
-std::vector<double> WindowPercentiles(const std::vector<double>& completion_s,
-                                      const std::vector<double>& values,
-                                      double q, double window_s,
-                                      double span_s);
+ private:
+  double window_s_;
+  std::vector<uint64_t> counts_;
+};
+
+/// \brief A uniform sample of at most `capacity` values from a stream
+/// (Algorithm R), so memory stays fixed however many values are offered.
+/// The replacement draws come from \p seed, so a sample is reproducible.
+class Reservoir {
+ public:
+  Reservoir(size_t capacity, uint64_t seed);
+  void Add(double value);
+  uint64_t offered() const { return offered_; }
+  const std::vector<double>& samples() const { return samples_; }
+
+ private:
+  size_t capacity_;
+  uint64_t offered_ = 0;
+  uint64_t state_;
+  std::vector<double> samples_;
+};
 
 /// "name=0.9500 (19/20)"; a zero denominator prints the ratio as 0.
 std::string FormatRatio(const std::string& name, uint64_t numerator,

@@ -32,6 +32,8 @@ thread_local ThreadBuffer* t_buffer = nullptr;
 thread_local uint64_t t_parent = 0;
 thread_local uint64_t t_request = 0;
 
+uint64_t NewRequest() { return g_next_request.fetch_add(1); }
+
 ThreadBuffer& LocalBuffer() {
   if (t_buffer == nullptr) {
     auto buffer = std::make_shared<ThreadBuffer>();
@@ -71,8 +73,6 @@ std::vector<SpanRecord> Tracer::Collect() {
 
 void Tracer::Clear() { Collect(); }
 
-uint64_t Tracer::NewRequest() { return g_next_request.fetch_add(1); }
-
 void Tracer::RecordChild(const char* name, int64_t start_ns, int64_t end_ns) {
   if (!enabled()) return;
   ThreadBuffer& buffer = LocalBuffer();
@@ -87,7 +87,7 @@ void Tracer::RecordChild(const char* name, int64_t start_ns, int64_t end_ns) {
   buffer.spans.push_back(record);
 }
 
-ScopedSpan::ScopedSpan(const char* name, uint64_t request) {
+ScopedSpan::ScopedSpan(const char* name) {
   if (!Tracer::enabled()) return;
   active_ = true;
   record_.name = name;
@@ -95,11 +95,7 @@ ScopedSpan::ScopedSpan(const char* name, uint64_t request) {
   record_.parent = t_parent;
   saved_parent_ = t_parent;
   saved_request_ = t_request;
-  if (request != 0) {
-    t_request = request;
-  } else if (t_parent == 0) {
-    t_request = Tracer::NewRequest();
-  }
+  if (t_parent == 0) t_request = NewRequest();
   record_.request = t_request;
   t_parent = record_.id;
   record_.start_ns = Tracer::NowNs();

@@ -36,18 +36,16 @@ class Tracer {
   static std::vector<SpanRecord> Collect();
   /// Drops every recorded span.
   static void Clear();
-  /// A fresh request id.
-  static uint64_t NewRequest();
   /// Records a completed child of the innermost open span on this thread
   /// (used for library stage durations returned in StageReports).
   static void RecordChild(const char* name, int64_t start_ns, int64_t end_ns);
 };
 
-/// \brief RAII span. A root span with request == 0 starts a new request;
-/// nested spans inherit the request of their parent.
+/// \brief RAII span. A root span starts a new request; nested spans inherit
+/// the request of their parent.
 class ScopedSpan {
  public:
-  explicit ScopedSpan(const char* name, uint64_t request = 0);
+  explicit ScopedSpan(const char* name);
   ~ScopedSpan();
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;

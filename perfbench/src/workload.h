@@ -33,8 +33,8 @@ struct MetricDef {
 ///   latency_tail_ms  (closed loop); ingest: one probe, timed from its due
 ///                    time (open loop). Tail: the p90 call for detect (too
 ///                    few calls for a percentile with ten samples beyond
-///                    it), p99 for reuse (median over windows), p75 for
-///                    ingest (see ingest.cc).
+///                    it), p95 for reuse, p75 for ingest (see reuse.cc and
+///                    ingest.cc).
 ///   recall           planted equivalent pairs found / planted pairs
 ///                    (detect: reported by GEqO_SET; reuse: variants that
 ///                    landed in their class; ingest: rewrites that joined
