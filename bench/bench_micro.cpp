@@ -20,6 +20,7 @@
 #include "encode/agnostic.h"
 #include "filters/emf_filter.h"
 #include "ml/emf_model.h"
+#include "obs/metrics.h"
 #include "parser/parser.h"
 #include "pipeline/baselines.h"
 #include "pipeline/geqo.h"
@@ -269,6 +270,19 @@ void BM_EmfScoresThreads(benchmark::State& state) {
   const EquivalenceModelFilter emf(fixture.model.get(),
                                    &fixture.instance_layout,
                                    &fixture.agnostic_layout, options);
+  // One untimed call with metrics on reads the dedup telemetry: trunk rows
+  // (distinct agnostic conversions embedded) per scored pair.
+  const obs::TraceLevel saved_level = obs::GlobalTraceLevel();
+  obs::SetTraceLevel(obs::TraceLevel::kMetrics);
+  auto& registry = obs::MetricsRegistry::Global();
+  const uint64_t pairs_before = registry.GetCounter("emf.pairs_scored").value();
+  const uint64_t rows_before = registry.GetCounter("emf.trunk_rows").value();
+  GEQO_CHECK_OK(emf.Scores(fixture.pairs, fixture.encoded).status());
+  state.counters["pairs_scored"] = static_cast<double>(
+      registry.GetCounter("emf.pairs_scored").value() - pairs_before);
+  state.counters["trunk_rows"] = static_cast<double>(
+      registry.GetCounter("emf.trunk_rows").value() - rows_before);
+  obs::SetTraceLevel(saved_level);
   for (auto _ : state) {
     auto scores = emf.Scores(fixture.pairs, fixture.encoded);
     benchmark::DoNotOptimize(scores);

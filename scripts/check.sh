@@ -139,6 +139,13 @@ else
   GEQO_THREADS=4 ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
     -R 'VecExec' "$@"
 
+  echo "== TSan EMF dedup-parity ctest =="
+  # EMF scoring fans key building, trunk chunks and head batches across the
+  # pool and gathers shared embedding rows; bit parity with the per-pair
+  # oracle under TSan is its race gate, run explicitly like VecExec.
+  GEQO_THREADS=4 ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
+    -R 'EmfDedup' "$@"
+
   echo "== TSan traced smoke run =="
   # Tracing itself must be race-free under the 4-thread pool: spans close on
   # worker threads while metrics fold from every stage.
@@ -174,15 +181,16 @@ else
   echo "== ASan build (kernel parity) =="
   # The SIMD kernels read in 32-byte lanes with scalar tails; ASan over the
   # parity and quantization suites catches any out-of-bounds lane, on both
-  # the dispatched and the forced-scalar table.
+  # the dispatched and the forced-scalar table. EmfDedup adds the EMF's
+  # shared-embedding gathers and slot-map key arrays.
   cmake -B build-asan -S . -DGEQO_SANITIZE=address >/dev/null
   cmake --build build-asan -j "$jobs" --target kernels_test quant_test \
-    hnsw_test tensor_test
+    hnsw_test tensor_test filters_test
   echo "== ASan kernel-parity ctest =="
   ctest --test-dir build-asan --output-on-failure -j "$jobs" \
-    -R 'KernelTable|Alignment|Quant|Hnsw|Tensor' "$@"
+    -R 'KernelTable|Alignment|Quant|Hnsw|Tensor|EmfDedup' "$@"
   GEQO_ISA=scalar ctest --test-dir build-asan --output-on-failure -j "$jobs" \
-    -R 'KernelTable|Alignment|Quant' "$@"
+    -R 'KernelTable|Alignment|Quant|EmfDedup' "$@"
 fi
 
 if [[ "${GEQO_CHECK_SKIP_UBSAN:-0}" == "1" ]]; then

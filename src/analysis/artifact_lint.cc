@@ -17,9 +17,9 @@ namespace geqo::analysis {
 namespace {
 
 /// Sanity bounds: a field beyond these is a corrupt length, not a real
-/// deployment (the largest shipped layout is ~10^2 symbols and the largest
-/// model ~10^7 scalars). They keep the walker from looping on garbage.
-constexpr uint64_t kMaxLayoutSymbols = 1 << 12;
+/// deployment (the largest model is ~10^7 scalars). They keep the walker
+/// from looping on garbage. Agnostic layouts are bounded by the encoder's
+/// own kMaxAgnosticSymbols.
 constexpr uint64_t kMaxTensorDim = 1 << 24;
 constexpr uint64_t kMaxStateEntries = 1 << 12;
 constexpr uint64_t kMaxNameLength = 1 << 12;
@@ -366,8 +366,8 @@ void LintSystemSnapshot(std::string_view bytes, Diagnostics* out) {
     return;
   }
   size_t expected_input_dim = 0;
-  if (tables == 0 || tables > kMaxLayoutSymbols || columns == 0 ||
-      columns > kMaxLayoutSymbols) {
+  if (tables == 0 || tables > kMaxAgnosticSymbols || columns == 0 ||
+      columns > kMaxAgnosticSymbols) {
     At(out, "snapshot.layout",
        "implausible agnostic layout " + std::to_string(tables) + "x" +
            std::to_string(columns),

@@ -1,5 +1,7 @@
 #include "common/thread_pool.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
@@ -54,7 +56,7 @@ struct ThreadPool::ForState {
   std::exception_ptr error GEQO_GUARDED_BY(error_mu);
 };
 
-ThreadPool::ThreadPool(size_t num_threads) {
+ThreadPool::ThreadPool(size_t num_threads) : owner_pid_(getpid()) {
   const size_t spawned = num_threads > 0 ? num_threads - 1 : 0;
   workers_.reserve(spawned);
   for (size_t i = 0; i < spawned; ++i) {
@@ -117,7 +119,8 @@ void ThreadPool::ParallelFor(size_t begin, size_t end, const WorkerFn& fn,
                              size_t grain) {
   if (begin >= end) return;
   const size_t count = end - begin;
-  if (t_in_parallel_region || workers_.empty() || count == 1) {
+  if (t_in_parallel_region || workers_.empty() || count == 1 ||
+      getpid() != owner_pid_) {
     for (size_t i = begin; i < end; ++i) fn(0, i);
     return;
   }

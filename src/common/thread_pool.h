@@ -1,5 +1,7 @@
 #pragma once
 
+#include <sys/types.h>
+
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -52,7 +54,9 @@ class ThreadPool {
   using WorkerFn = std::function<void(size_t worker, size_t index)>;
 
   /// Runs fn(worker, i) for every i in [begin, end); blocks until all
-  /// iterations finish. The first exception thrown by \p fn is rethrown on
+  /// iterations finish. In a child forked after the pool was built, every
+  /// region runs inline on the caller: fork() copies only the calling
+  /// thread, so the pool's workers do not exist there. The first exception thrown by \p fn is rethrown on
   /// the calling thread (remaining chunks are abandoned). \p grain is the
   /// chunk size claimed per cursor bump (0 = auto). Safe to call from inside
   /// a running region: nested calls execute inline, serially.
@@ -88,6 +92,7 @@ class ThreadPool {
   static void Drain(ForState* state);
 
   std::vector<std::thread> workers_;
+  const pid_t owner_pid_;  ///< the process whose threads are workers_
   /// Guards the task queue; ranks above the shard locks because parallel
   /// regions are launched from under them (EMF scoring inside a probe).
   Mutex mu_{analysis::LockRank::kThreadPool};

@@ -137,6 +137,12 @@ Status GeqoSystem::LoadSnapshot(const std::string& path) {
   const float radius = reader.F32();
   const float threshold = reader.F32();
   GEQO_RETURN_NOT_OK(reader.status());
+  if (tables == 0 || tables > kMaxAgnosticSymbols || columns == 0 ||
+      columns > kMaxAgnosticSymbols) {
+    return Status::InvalidArgument(
+        "system snapshot: implausible agnostic layout " +
+        std::to_string(tables) + "x" + std::to_string(columns) + ": " + path);
+  }
   const uint64_t expected = CatalogFingerprint(*catalog_);
   if (fingerprint != expected) {
     return Status::InvalidArgument(

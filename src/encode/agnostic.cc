@@ -123,92 +123,109 @@ Result<SymbolMap> BuildSymbolMap(const std::vector<PlanPtr>& plans,
   return map;
 }
 
+ReferenceMask ReferenceMask::Of(const EncodingLayout& layout,
+                                const EncodedPlan& plan) {
+  GEQO_CHECK(plan.nodes.cols() == layout.node_vector_size());
+  ReferenceMask mask;
+  mask.tables.assign((layout.num_tables() + 63) / 64, 0);
+  mask.columns.assign((layout.num_columns() + 63) / 64, 0);
+  for (size_t row = 0; row < plan.num_nodes(); ++row) {
+    const float* values = plan.nodes.Row(row);
+    for (size_t t = 0; t < layout.num_tables(); ++t) {
+      if (values[layout.table_offset() + t] != 0.0f) {
+        mask.tables[t / 64] |= uint64_t{1} << (t % 64);
+      }
+    }
+    for (size_t c = 0; c < layout.num_columns(); ++c) {
+      if (values[layout.join_left_offset() + c] != 0.0f ||
+          values[layout.join_right_offset() + c] != 0.0f ||
+          values[layout.select_col_offset() + c] != 0.0f ||
+          values[layout.group_by_offset() + c] != 0.0f ||
+          values[layout.agg_col_offset() + c] != 0.0f) {
+        mask.columns[c / 64] |= uint64_t{1} << (c % 64);
+      }
+    }
+  }
+  return mask;
+}
+
+void ReferenceMask::Union(const ReferenceMask& other) {
+  GEQO_CHECK(tables.size() == other.tables.size() &&
+             columns.size() == other.columns.size());
+  for (size_t w = 0; w < tables.size(); ++w) tables[w] |= other.tables[w];
+  for (size_t w = 0; w < columns.size(); ++w) columns[w] |= other.columns[w];
+}
+
+size_t ReferenceMask::Count() const {
+  size_t count = 0;
+  for (const uint64_t word : tables) count += std::popcount(word);
+  for (const uint64_t word : columns) count += std::popcount(word);
+  return count;
+}
+
+AgnosticConverter::AgnosticConverter(const EncodingLayout* instance_layout,
+                                     const EncodingLayout* agnostic_layout)
+    : instance_layout_(instance_layout),
+      agnostic_layout_(agnostic_layout),
+      table_map_(instance_layout->num_tables(), EncodingLayout::npos),
+      column_map_(instance_layout->num_columns(), EncodingLayout::npos) {}
+
 Result<AgnosticConverter> AgnosticConverter::Create(
     const EncodingLayout* instance_layout, const EncodingLayout* agnostic_layout,
     const std::vector<const EncodedPlan*>& group, bool truncate_overflow) {
   GEQO_CHECK(!group.empty());
+  ReferenceMask mask = ReferenceMask::Of(*instance_layout, *group[0]);
+  for (size_t i = 1; i < group.size(); ++i) {
+    mask.Union(ReferenceMask::Of(*instance_layout, *group[i]));
+  }
   AgnosticConverter converter(instance_layout, agnostic_layout);
-  const size_t num_tables = instance_layout->num_tables();
-  const size_t num_columns = instance_layout->num_columns();
+  GEQO_RETURN_NOT_OK(converter.Reset(mask, truncate_overflow));
+  return converter;
+}
 
-  // Masks: which instance table/column slots carry a nonzero bit anywhere
-  // in the group (Figure 5's columnwiseUnion over both subexpressions).
-  std::vector<bool> table_mask(num_tables, false);
-  std::vector<bool> column_mask(num_columns, false);
-  for (const EncodedPlan* plan : group) {
-    GEQO_CHECK(plan->nodes.cols() == instance_layout->node_vector_size());
-    for (size_t row = 0; row < plan->num_nodes(); ++row) {
-      const float* values = plan->nodes.Row(row);
-      for (size_t t = 0; t < num_tables; ++t) {
-        if (values[instance_layout->table_offset() + t] != 0.0f) {
-          table_mask[t] = true;
-        }
-      }
-      for (size_t c = 0; c < num_columns; ++c) {
-        if (values[instance_layout->join_left_offset() + c] != 0.0f ||
-            values[instance_layout->join_right_offset() + c] != 0.0f ||
-            values[instance_layout->select_col_offset() + c] != 0.0f ||
-            values[instance_layout->group_by_offset() + c] != 0.0f ||
-            values[instance_layout->agg_col_offset() + c] != 0.0f) {
-          column_mask[c] = true;
-        }
-      }
-    }
-  }
+Status AgnosticConverter::Reset(const ReferenceMask& mask,
+                                bool truncate_overflow) {
+  const EncodingLayout& in = *instance_layout_;
+  constexpr size_t npos = EncodingLayout::npos;
+  table_map_.assign(in.num_tables(), npos);
+  column_map_.assign(in.num_columns(), npos);
 
-  // A referenced column's table must get a symbol even if (pathologically)
-  // its table bit never appears; union it in for safety.
-  auto table_of_column_slot = [&](size_t slot) {
-    const std::string& qualified = instance_layout->columns()[slot];
-    return qualified.substr(0, qualified.find('.'));
-  };
-  for (size_t c = 0; c < num_columns; ++c) {
-    if (!column_mask[c]) continue;
-    const size_t table_slot =
-        instance_layout->TableIndex(table_of_column_slot(c));
-    if (table_slot != EncodingLayout::npos) table_mask[table_slot] = true;
-  }
+  // Referenced tables: the mask's, plus the table of every referenced column
+  // (whose table bit may, pathologically, never appear). They are marked 0
+  // here and ranked below.
+  ReferenceMask::ForEachSlot(mask.tables, [&](size_t t) { table_map_[t] = 0; });
+  ReferenceMask::ForEachSlot(
+      mask.columns, [&](size_t c) { table_map_[in.ColumnTable(c)] = 0; });
 
-  // Assign symbols: referenced tables in instance order (= sorted real
-  // names) map to agnostic slots 0, 1, ... — exactly path A's assignment.
-  converter.table_map_.assign(num_tables, EncodingLayout::npos);
-  std::map<std::string, size_t> table_symbol_index;
   size_t next_table = 0;
-  for (size_t t = 0; t < num_tables; ++t) {
-    if (!table_mask[t]) continue;
-    if (next_table >= agnostic_layout->num_tables()) {
+  for (size_t t = 0; t < in.num_tables(); ++t) {
+    if (table_map_[t] == npos) continue;
+    if (next_table >= agnostic_layout_->num_tables()) {
+      table_map_[t] = npos;
       if (truncate_overflow) continue;
       return Status::ResourceExhausted(
           "group references more tables than the agnostic layout holds");
     }
-    converter.table_map_[t] = next_table;
-    table_symbol_index[instance_layout->tables()[t]] = next_table;
-    ++next_table;
+    table_map_[t] = next_table++;
   }
 
-  converter.column_map_.assign(num_columns, EncodingLayout::npos);
-  std::map<std::string, size_t> per_table_rank;
-  const size_t columns_per_table = agnostic_layout->max_columns_per_table();
-  for (size_t c = 0; c < num_columns; ++c) {
-    if (!column_mask[c]) continue;
-    const std::string table = table_of_column_slot(c);
-    const auto it = table_symbol_index.find(table);
-    if (it == table_symbol_index.end()) {
-      // Only reachable with truncate_overflow: the column's table was
-      // dropped, so the column is dropped too.
-      GEQO_CHECK(truncate_overflow);
-      continue;
+  // Columns of a dropped table (only with truncate_overflow) are dropped too.
+  const size_t columns_per_table = agnostic_layout_->max_columns_per_table();
+  for (size_t t = 0; t < in.num_tables(); ++t) {
+    if (table_map_[t] == npos) continue;
+    size_t rank = 0;
+    for (const size_t c : in.TableColumns(t)) {
+      if (!mask.HasColumn(c)) continue;
+      if (rank >= columns_per_table) {
+        if (truncate_overflow) continue;
+        return Status::ResourceExhausted(
+            "group references more columns per table than the agnostic "
+            "layout holds");
+      }
+      column_map_[c] = table_map_[t] * columns_per_table + rank++;
     }
-    const size_t rank = per_table_rank[table]++;
-    if (rank >= columns_per_table) {
-      if (truncate_overflow) continue;
-      return Status::ResourceExhausted(
-          "group references more columns per table than the agnostic layout "
-          "holds");
-    }
-    converter.column_map_[c] = it->second * columns_per_table + rank;
   }
-  return converter;
+  return Status::OK();
 }
 
 EncodedPlan AgnosticConverter::Convert(const EncodedPlan& instance) const {

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "encode/encoding.h"
@@ -38,32 +40,80 @@ std::vector<std::pair<std::string, std::string>> CollectEncodedColumns(
 Result<SymbolMap> BuildSymbolMap(const std::vector<PlanPtr>& plans,
                                  const EncodingLayout& agnostic_layout);
 
+/// \brief The instance table and column slots marked by a plan or a group of
+/// plans: bit s is set when slot s is nonzero in some node row (Figure 5's
+/// columnwiseUnion). A group's mask is the union of its members' masks, so a
+/// caller converting many groups over the same plans computes each plan's
+/// mask once.
+struct ReferenceMask {
+  std::vector<uint64_t> tables;   ///< bitset over instance table slots
+  std::vector<uint64_t> columns;  ///< bitset over instance column slots
+
+  /// The mask of one plan encoded against \p instance_layout.
+  static ReferenceMask Of(const EncodingLayout& instance_layout,
+                          const EncodedPlan& plan);
+  /// Adds \p other's slots; both masks must come from the same layout.
+  void Union(const ReferenceMask& other);
+
+  bool HasColumn(size_t slot) const { return TestBit(columns, slot); }
+  /// Number of marked slots, tables and columns together.
+  size_t Count() const;
+
+  /// Calls \p fn(slot) for every set bit of \p bits, in ascending order.
+  template <typename Fn>
+  static void ForEachSlot(const std::vector<uint64_t>& bits, Fn&& fn) {
+    for (size_t w = 0; w < bits.size(); ++w) {
+      for (uint64_t word = bits[w]; word != 0; word &= word - 1) {
+        fn(w * 64 + static_cast<size_t>(std::countr_zero(word)));
+      }
+    }
+  }
+
+ private:
+  static bool TestBit(const std::vector<uint64_t>& bits, size_t slot) {
+    return (bits[slot / 64] >> (slot % 64)) & 1;
+  }
+};
+
 /// \brief Path B: converts instance encodings to agnostic encodings by
 /// column-mask elimination and remapping, without revisiting plan trees.
 class AgnosticConverter {
  public:
+  /// A converter that maps no table or column slot until Reset.
+  AgnosticConverter(const EncodingLayout* instance_layout,
+                    const EncodingLayout* agnostic_layout);
+
   /// Builds the conversion for a group of instance-encoded subexpressions
-  /// (a pair for the EMF; a whole SF-group for the VMF's n-ary variant).
-  /// The mask is the union of references across all group members. When the
-  /// group references more tables/columns than the agnostic layout holds,
-  /// Create fails with ResourceExhausted unless \p truncate_overflow is set,
-  /// in which case overflowing references are dropped from the encoding
-  /// (a lossy approximation used by the VMF-without-SF ablation, where
-  /// "groups" can span the whole workload).
+  /// (a pair for the EMF; a whole SF-group for the VMF's n-ary variant):
+  /// Reset on the union of the members' ReferenceMasks.
   static Result<AgnosticConverter> Create(
       const EncodingLayout* instance_layout,
       const EncodingLayout* agnostic_layout,
       const std::vector<const EncodedPlan*>& group,
       bool truncate_overflow = false);
 
-  /// Remaps one instance-encoded plan into the agnostic layout.
+  /// Rebuilds the slot maps for a group's union \p mask, reusing storage.
+  /// Referenced tables, in instance order (= sorted real names), take
+  /// agnostic table slots 0, 1, ...; each table's referenced columns, in
+  /// instance order, take its column ranks — exactly path A's symbols. When
+  /// the mask references more tables/columns than the agnostic layout holds,
+  /// Reset fails with ResourceExhausted unless \p truncate_overflow is set,
+  /// in which case overflowing references are dropped from the encoding (a
+  /// lossy approximation used by the VMF-without-SF ablation, where "groups"
+  /// can span the whole workload). A failed Reset leaves the maps partly
+  /// built; Reset again before converting.
+  Status Reset(const ReferenceMask& mask, bool truncate_overflow = false);
+
+  /// Agnostic table slot of instance table slot \p slot, or npos.
+  size_t MappedTable(size_t slot) const { return table_map_[slot]; }
+  /// Agnostic column slot of instance column slot \p slot, or npos.
+  size_t MappedColumn(size_t slot) const { return column_map_[slot]; }
+
+  /// Remaps one instance-encoded plan into the agnostic layout. The output
+  /// depends on the slot maps only at the slots the plan itself marks.
   EncodedPlan Convert(const EncodedPlan& instance_encoded) const;
 
  private:
-  AgnosticConverter(const EncodingLayout* instance_layout,
-                    const EncodingLayout* agnostic_layout)
-      : instance_layout_(instance_layout), agnostic_layout_(agnostic_layout) {}
-
   const EncodingLayout* instance_layout_;
   const EncodingLayout* agnostic_layout_;
   /// instance table slot -> agnostic table slot, npos when unreferenced.

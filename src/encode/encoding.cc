@@ -24,13 +24,15 @@ EncodingLayout EncodingLayout::FromCatalog(const Catalog& catalog) {
   }
   std::sort(layout.tables_.begin(), layout.tables_.end());
   std::sort(layout.columns_.begin(), layout.columns_.end());
+  layout.IndexColumns();
   return layout;
 }
 
 EncodingLayout EncodingLayout::Agnostic(size_t max_tables,
                                         size_t max_columns_per_table) {
-  GEQO_CHECK(max_tables >= 1 && max_tables <= 99);
-  GEQO_CHECK(max_columns_per_table >= 1 && max_columns_per_table <= 99);
+  GEQO_CHECK(max_tables >= 1 && max_tables <= kMaxAgnosticSymbols);
+  GEQO_CHECK(max_columns_per_table >= 1 &&
+             max_columns_per_table <= kMaxAgnosticSymbols);
   EncodingLayout layout;
   layout.max_columns_per_table_ = max_columns_per_table;
   // Zero-padded symbols keep lexicographic order equal to index order, which
@@ -42,7 +44,20 @@ EncodingLayout EncodingLayout::Agnostic(size_t max_tables,
     }
   }
   // Already sorted by construction.
+  layout.IndexColumns();
   return layout;
+}
+
+void EncodingLayout::IndexColumns() {
+  column_tables_.assign(columns_.size(), 0);
+  table_columns_.assign(tables_.size(), {});
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    const std::string_view qualified = columns_[c];
+    const size_t table = TableIndex(qualified.substr(0, qualified.find('.')));
+    GEQO_CHECK(table != npos) << "column " << columns_[c] << " has no table";
+    column_tables_[c] = table;
+    table_columns_[table].push_back(c);
+  }
 }
 
 size_t EncodingLayout::TableIndex(std::string_view table) const {

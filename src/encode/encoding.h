@@ -32,6 +32,11 @@ inline constexpr size_t kNumJoinTypes = 3;
 /// Number of aggregate functions (COUNT, SUM, MIN, MAX, AVG) in the group-by
 /// extension of the featurization (paper §9.1).
 inline constexpr size_t kNumAggregateFns = 5;
+/// Largest table count and per-table column count of an agnostic layout: the
+/// two-digit symbols t01..t99 / c01..c99 keep lexicographic order equal to
+/// slot order. Decoders of untrusted layouts check this bound before calling
+/// EncodingLayout::Agnostic, which aborts past it.
+inline constexpr size_t kMaxAgnosticSymbols = 99;
 
 /// \brief The featurization layout: which tables and columns occupy which
 /// one-hot positions. Tables and columns are sorted alphanumerically so
@@ -44,7 +49,8 @@ class EncodingLayout {
   static EncodingLayout FromCatalog(const Catalog& catalog);
 
   /// Builds the db-agnostic symbolic layout T'_W = {t1..tn},
-  /// C'_W = {t1.c1 .. tn.cm} (§4.2).
+  /// C'_W = {t1.c1 .. tn.cm} (§4.2). Both bounds must lie in
+  /// [1, kMaxAgnosticSymbols].
   static EncodingLayout Agnostic(size_t max_tables, size_t max_columns_per_table);
 
   size_t num_tables() const { return tables_.size(); }
@@ -64,6 +70,12 @@ class EncodingLayout {
 
   const std::vector<std::string>& tables() const { return tables_; }
   const std::vector<std::string>& columns() const { return columns_; }
+  /// Table slot of column slot \p column.
+  size_t ColumnTable(size_t column) const { return column_tables_[column]; }
+  /// Column slots of table slot \p table, ascending.
+  const std::vector<size_t>& TableColumns(size_t table) const {
+    return table_columns_[table];
+  }
 
   // Segment offsets within a node vector.
   size_t table_offset() const { return 0; }
@@ -89,6 +101,11 @@ class EncodingLayout {
   std::vector<std::string> tables_;   ///< sorted table names (or symbols)
   std::vector<std::string> columns_;  ///< sorted "table.column" strings
   size_t max_columns_per_table_ = 0;  ///< nonzero only for agnostic layouts
+  std::vector<size_t> column_tables_;               ///< column slot -> table
+  std::vector<std::vector<size_t>> table_columns_;  ///< table slot -> columns
+
+  /// Fills column_tables_ and table_columns_ from tables_ and columns_.
+  void IndexColumns();
 };
 
 /// \brief Normalization range for predicate constants: norm(v) maps workload

@@ -11,7 +11,9 @@
 /// The equivalence model filter (EMF, §2.2/§5) as a pairwise filter stage:
 /// candidate pairs are pairwise db-agnostic-encoded via the fast converter
 /// (§4.2.1) and scored by the trained EmfModel; pairs with probability below
-/// the threshold are pruned before verification.
+/// the threshold are pruned before verification. The siamese trunk runs once
+/// per distinct converted plan, not twice per pair (DESIGN.md §4, "EMF pair
+/// scoring").
 
 namespace geqo {
 
@@ -34,7 +36,11 @@ class EquivalenceModelFilter {
         options_(options) {}
 
   /// Equivalence probability for each (i, j) pair of workload indices.
-  /// \p instance_encoded is indexed by workload position.
+  /// \p instance_encoded is indexed by workload position. Bit-identical to
+  /// converting each pair with AgnosticConverter::Create and scoring batches
+  /// of batch_size pairs with EmfModel::PredictProba; a pair that overflows
+  /// the agnostic layout fails the call with Create's status for the first
+  /// such pair.
   Result<std::vector<float>> Scores(
       const std::vector<std::pair<size_t, size_t>>& pairs,
       const std::vector<EncodedPlan>& instance_encoded) const;

@@ -136,19 +136,21 @@ Tensor EmfModel::InferLogits(const std::vector<const EncodedPlan*>& lhs,
                              const std::vector<const EncodedPlan*>& rhs) const {
   GEQO_CHECK(lhs.size() == rhs.size() && !lhs.empty());
   const size_t n = lhs.size();
-
-  // Same combined-batch layout as Forward so results match it bit for bit;
-  // no caches are written, keeping this path re-entrant.
   std::vector<const EncodedPlan*> combined;
   combined.reserve(2 * n);
   combined.insert(combined.end(), lhs.begin(), lhs.end());
   combined.insert(combined.end(), rhs.begin(), rhs.end());
-  const nn::TreeBatch batch = BuildTreeBatch(combined);
+  const Tensor pooled = Embed(combined);  // [2n, h]
+  return InferHead(pooled.Slice(0, n), pooled.Slice(n, 2 * n));
+}
 
-  const Tensor pooled = InferTrunk(batch);  // [2n, h]
-  const Tensor lhs_embedding = pooled.Slice(0, n);
-  const Tensor rhs_embedding = pooled.Slice(n, 2 * n);
+Tensor EmfModel::InferHead(const Tensor& lhs_embedding,
+                           const Tensor& rhs_embedding) const {
+  const size_t n = lhs_embedding.rows();
   const size_t h = options_.conv2_size;
+  GEQO_CHECK(n > 0 && rhs_embedding.rows() == n &&
+             lhs_embedding.cols() == h && rhs_embedding.cols() == h);
+  // Head input: [e_a | e_b | |e_a - e_b|], as in Forward.
   Tensor abs_diff(n, h);
   for (size_t i = 0; i < n; ++i) {
     for (size_t c = 0; c < h; ++c) {

@@ -36,7 +36,7 @@ struct EmfModelOptions {
 /// pairs; both plans of a pair share the convolution weights (siamese).
 ///
 /// Thread-safety: the const inference entry points (PredictProba, Embed,
-/// InferLogits) run through the layers' cache-free Infer paths and may be
+/// InferHead, InferLogits) run through the layers' cache-free Infer paths and may be
 /// called concurrently from many threads on one model instance, provided no
 /// thread calls Forward/TrainStep at the same time (training mutates weights
 /// and layer caches). The parallel EMF/VMF stages rely on this contract.
@@ -56,8 +56,9 @@ class EmfModel {
                   const std::vector<const EncodedPlan*>& rhs,
                   const Tensor& labels, nn::Adam* optimizer);
 
-  /// Inference logits, shape [batch, 1]. Bit-identical to
-  /// Forward(lhs, rhs, /*training=*/false) but cache-free and re-entrant.
+  /// Inference logits, shape [batch, 1]: Embed over [lhs..., rhs...] then
+  /// InferHead. Bit-identical to Forward(lhs, rhs, /*training=*/false) but
+  /// cache-free and re-entrant.
   Tensor InferLogits(const std::vector<const EncodedPlan*>& lhs,
                      const std::vector<const EncodedPlan*>& rhs) const;
 
@@ -67,9 +68,17 @@ class EmfModel {
                       const std::vector<const EncodedPlan*>& rhs) const;
 
   /// The VMF embedding: pooled tree-convolution features, [n, h] (§2.2,
-  /// §4.2.2). Runs the convolutional trunk in inference mode. Re-entrant
+  /// §4.2.2). Runs the convolutional trunk in inference mode. Each output row
+  /// depends on its own plan only, not on the rest of the batch. Re-entrant
   /// (see class comment).
   Tensor Embed(const std::vector<const EncodedPlan*>& plans) const;
+
+  /// Classifier-head logits, shape [n, 1], for pairs whose trunk embeddings
+  /// (Embed rows) are row i of \p lhs_embedding and \p rhs_embedding, both
+  /// [n, h]. With GEQO_QUANT on, the head's linear layers switch to int8 at
+  /// 8 rows, so a logit depends on n. Re-entrant (see class comment).
+  Tensor InferHead(const Tensor& lhs_embedding,
+                   const Tensor& rhs_embedding) const;
 
   /// Embedding dimension h.
   size_t embedding_dim() const { return options_.conv2_size; }

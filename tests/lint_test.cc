@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <stdlib.h>
+
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -50,6 +53,29 @@ std::string CodesOf(const Diagnostics& diagnostics) {
   return FormatDiagnostics(diagnostics);
 }
 
+/// A fresh directory under ::testing::TempDir(), removed with its contents on
+/// destruction. ctest runs every test as its own process, in parallel, so
+/// fixed file names directly under TempDir() would be shared between them.
+class ScopedTempDir {
+ public:
+  ScopedTempDir() {
+    std::string pattern = ::testing::TempDir() + "/lint_test.XXXXXX";
+    GEQO_CHECK(mkdtemp(pattern.data()) != nullptr) << "mkdtemp " << pattern;
+    path_ = pattern;
+  }
+  ~ScopedTempDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+  ScopedTempDir(const ScopedTempDir&) = delete;
+  ScopedTempDir& operator=(const ScopedTempDir&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
 // Shared fixture: one small system + serving catalog saved once, reused by
 // every corruption test in the suite.
 class ArtifactLintTest : public ::testing::Test {
@@ -68,9 +94,10 @@ class ArtifactLintTest : public ::testing::Test {
     Rng rng(7);
     plans_ = new std::vector<PlanPtr>(generator.GenerateMany(3, &rng));
 
-    system_path_ = ::testing::TempDir() + "/lint_system.snapshot";
-    catalog_path_ = ::testing::TempDir() + "/lint_catalog.snapshot";
-    sharded_path_ = ::testing::TempDir() + "/lint_sharded.snapshot";
+    dir_ = new ScopedTempDir();
+    system_path_ = dir_->path() + "/lint_system.snapshot";
+    catalog_path_ = dir_->path() + "/lint_catalog.snapshot";
+    sharded_path_ = dir_->path() + "/lint_sharded.snapshot";
     GEQO_CHECK_OK(system_->SaveSnapshot(system_path_));
     auto serving = system_->OpenCatalog();
     for (const PlanPtr& plan : *plans_) {
@@ -105,9 +132,8 @@ class ArtifactLintTest : public ::testing::Test {
   }
 
   static void TearDownTestSuite() {
-    std::remove(system_path_.c_str());
-    std::remove(catalog_path_.c_str());
-    std::remove(sharded_path_.c_str());
+    delete dir_;
+    dir_ = nullptr;
     delete sharded_plans_;
     delete plans_;
     delete system_;
@@ -123,7 +149,7 @@ class ArtifactLintTest : public ::testing::Test {
   }
 
   static Status LoadSystem(const std::string& bytes) {
-    const std::string path = ::testing::TempDir() + "/lint_mut.snapshot";
+    const std::string path = dir_->path() + "/lint_mut.snapshot";
     WriteFile(path, bytes);
     const Status status = system_->LoadSnapshot(path);
     std::remove(path.c_str());
@@ -154,6 +180,7 @@ class ArtifactLintTest : public ::testing::Test {
     return out.str();
   }
 
+  static ScopedTempDir* dir_;
   static Catalog* catalog_;
   static GeqoSystem* system_;
   static std::vector<PlanPtr>* plans_;
@@ -164,6 +191,7 @@ class ArtifactLintTest : public ::testing::Test {
   static size_t sharded_pending_;
 };
 
+ScopedTempDir* ArtifactLintTest::dir_ = nullptr;
 Catalog* ArtifactLintTest::catalog_ = nullptr;
 GeqoSystem* ArtifactLintTest::system_ = nullptr;
 std::vector<PlanPtr>* ArtifactLintTest::plans_ = nullptr;
@@ -237,6 +265,43 @@ TEST_F(ArtifactLintTest, BitFlipsAreDetectedEverywhere) {
       EXPECT_FALSE(load.ok()) << path << " flip at " << offset;
     }
   }
+}
+
+TEST_F(ArtifactLintTest, SystemSnapshotSingleByteFlipSweep) {
+  // Every byte of the system snapshot under three masks: the linter and the
+  // loader must both reject each flip, without aborting or throwing. Flips
+  // in the agnostic layout fields once took the linter past
+  // EncodingLayout::Agnostic's bound (a GEQO_CHECK abort).
+  const std::string bytes = ReadFile(system_path_);
+  for (size_t offset = 0; offset < bytes.size(); ++offset) {
+    for (const unsigned char mask : {0x01, 0x80, 0xFF}) {
+      std::string flipped = bytes;
+      flipped[offset] = static_cast<char>(flipped[offset] ^ mask);
+      Diagnostics findings;
+      EXPECT_NO_THROW(findings = Lint(flipped));
+      EXPECT_TRUE(HasFindings(findings))
+          << "flip " << static_cast<int>(mask) << " at " << offset;
+      Status load;
+      EXPECT_NO_THROW(load = LoadSystem(flipped));
+      EXPECT_FALSE(load.ok())
+          << "flip " << static_cast<int>(mask) << " at " << offset;
+    }
+  }
+}
+
+TEST_F(ArtifactLintTest, OversizedAgnosticLayoutIsAFindingAndAStatus) {
+  // Offset 24 is the layout's table count (6). 134 passes the old loose
+  // bound but not EncodingLayout::Agnostic's; with the footer refreshed,
+  // the walker and the loader each reach their layout check.
+  const std::string bytes = MutatePayloadU64(ReadFile(system_path_), 24, 134);
+  const Diagnostics findings = Lint(bytes);
+  EXPECT_TRUE(HasCode(findings, "snapshot.layout")) << CodesOf(findings);
+  EXPECT_FALSE(HasCode(findings, "snapshot.checksum")) << CodesOf(findings);
+  const Status load = LoadSystem(bytes);
+  EXPECT_FALSE(load.ok());
+  EXPECT_NE(load.message().find("implausible agnostic layout"),
+            std::string::npos)
+      << load.ToString();
 }
 
 TEST_F(ArtifactLintTest, VersionFieldFlipNamesTheVersion) {
@@ -600,13 +665,11 @@ std::string CraftManifest(uint64_t kind, uint64_t num_shards, uint64_t base_id,
   return file.str();
 }
 
-/// Writes \p bytes as TempDir/MANIFEST and runs the recovery-path reader.
+/// Writes \p bytes as a MANIFEST and runs the recovery-path reader.
 Status ReadManifestBytes(const std::string& bytes) {
-  const std::string dir = ::testing::TempDir();
-  WriteFile(dir + "/MANIFEST", bytes);
-  const auto state = serve::persist::ReadManifest(dir);
-  std::remove((dir + "/MANIFEST").c_str());
-  return state.status();
+  const ScopedTempDir dir;
+  WriteFile(dir.path() + "/MANIFEST", bytes);
+  return serve::persist::ReadManifest(dir.path()).status();
 }
 
 TEST(StoreManifestLintTest, CleanManifestHasZeroFindingsAndLoads) {
@@ -687,11 +750,10 @@ std::string CraftWal(const std::vector<serve::persist::WalRecord>& records,
 Result<serve::persist::WalReplay> ReadWalBytes(const std::string& bytes,
                                                uint64_t file_id = 7,
                                                uint64_t shard = 0) {
-  const std::string path = ::testing::TempDir() + "/lint_wal.log";
+  const ScopedTempDir dir;
+  const std::string path = dir.path() + "/lint_wal.log";
   WriteFile(path, bytes);
-  auto replay = serve::persist::ReadWalFile(path, file_id, shard);
-  std::remove(path.c_str());
-  return replay;
+  return serve::persist::ReadWalFile(path, file_id, shard);
 }
 
 TEST(WalLintTest, CleanPartitionHasZeroFindingsAndReplays) {

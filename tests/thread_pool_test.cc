@@ -1,9 +1,12 @@
 #include "common/thread_pool.h"
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <condition_variable>
 #include <mutex>
 #include <numeric>
@@ -125,6 +128,29 @@ TEST(ThreadPoolTest, NestedParallelForRunsInlineWithoutDeadlock) {
     });
   });
   for (auto& v : inner_visits) EXPECT_EQ(v.load(), 1);
+}
+
+TEST(ThreadPoolTest, ForkedChildRunsRegionsInline) {
+  // fork() copies only the calling thread: a region in the child must not
+  // wait for the parent's workers (the crash-recovery tests fork children
+  // that probe catalogs). SIGALRM turns a hang into a failure.
+  ThreadPool pool(4);
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    alarm(10);
+    std::atomic<size_t> sum{0};
+    pool.ParallelFor(0, 100, [&](size_t worker, size_t i) {
+      if (worker != 0) std::_Exit(2);
+      sum += i;
+    });
+    std::_Exit(sum.load() == 100u * 99u / 2 ? 0 : 1);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << "child killed by signal "
+                                 << WTERMSIG(status);
+  EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
 TEST(ThreadPoolTest, ParallelMapFillsSlotsInOrder) {
