@@ -1,10 +1,12 @@
 /// \file bench_serve.cpp
 /// Online serving benchmark (§1 / §7.7 deployment scenario): streams a
-/// detection workload through an EquivalenceCatalog with ProbeAdd — the
-/// motivating "check each incoming subexpression against the repository"
-/// loop — then re-probes the full stream against the warm catalog. Reports
-/// probe latency percentiles and the work the memo cache and equivalence
-/// classes save, and writes BENCH_serve.json.
+/// detection workload through the synchronous serving deployment — a
+/// one-shard ShardedCatalog in deferred mode, drained after every call —
+/// with ProbeAdd, the motivating "check each incoming subexpression against
+/// the repository" loop, then re-probes the full stream against the warm
+/// catalog. Reports probe latency percentiles (probe plus drain) and the
+/// work the memo cache and equivalence classes save, and writes
+/// BENCH_serve.json.
 
 #include <algorithm>
 #include <atomic>
@@ -44,6 +46,16 @@ double Percentile(std::vector<double> sorted, double q) {
   return sorted[index];
 }
 
+/// One synchronous step, which must succeed. Its latency is the probe's
+/// stage sum plus the inline drain.
+serve::VerifiedProbe Step(serve::ShardedCatalog& catalog, const PlanPtr& plan,
+                          bool add) {
+  auto step = add ? serve::ProbeAddAndDrain(catalog, plan)
+                  : serve::ProbeAndDrain(catalog, plan);
+  GEQO_CHECK(step.ok()) << step.status().ToString();
+  return std::move(*step);
+}
+
 struct PhaseAccumulator {
   std::vector<double> latencies;
   size_t verifier_calls = 0;
@@ -51,16 +63,17 @@ struct PhaseAccumulator {
   size_t class_shortcuts = 0;
   double total_seconds = 0.0;
 
-  void Record(const serve::ProbeResult& probe) {
-    latencies.push_back(probe.seconds);
-    verifier_calls += probe.verifier_calls;
-    memo_hits += probe.memo_hits;
-    class_shortcuts += probe.class_shortcuts;
-    total_seconds += probe.seconds;
+  void Record(const serve::VerifiedProbe& step) {
+    const double seconds = step.probe.seconds + step.drain_seconds;
+    latencies.push_back(seconds);
+    verifier_calls += step.verifier_calls;
+    memo_hits += step.memo_hits;
+    class_shortcuts += step.class_shortcuts;
+    total_seconds += seconds;
   }
 
   ServeBenchReport Finish(const std::string& label,
-                          const serve::EquivalenceCatalog& catalog) {
+                          const serve::ShardedCatalog& catalog) {
     std::sort(latencies.begin(), latencies.end());
     ServeBenchReport report;
     report.label = label;
@@ -253,7 +266,9 @@ int main() {
   std::printf("# workload: %zu subexpressions, %zu planted equivalences\n\n",
               workload.subexpressions.size(), workload.planted.size());
 
-  auto catalog = context.system->OpenCatalog();
+  auto catalog = context.system->OpenShardedCatalog(
+      serve::ShardedCatalogOptions::Synchronous(
+          context.system->options().pipeline));
   std::vector<ServeBenchReport> phases;
 
   // Phase 1: the cold stream — every query probes the catalog built from
@@ -261,10 +276,9 @@ int main() {
   PhaseAccumulator stream;
   size_t proven_pairs = 0;
   for (const PlanPtr& plan : workload.subexpressions) {
-    auto result = catalog->ProbeAdd(plan);
-    GEQO_CHECK(result.ok()) << result.status().ToString();
-    stream.Record(result->probe);
-    proven_pairs += result->probe.equivalent_ids.size();
+    const serve::VerifiedProbe step = Step(*catalog, plan, /*add=*/true);
+    stream.Record(step);
+    proven_pairs += catalog->ClassMembers(step.id).size() - 1;
   }
   phases.push_back(stream.Finish("stream", *catalog));
   PrintPhase(phases.back());
@@ -275,9 +289,7 @@ int main() {
   // backward pairs come from the memo and the classes.
   PhaseAccumulator reprobe;
   for (const PlanPtr& plan : workload.subexpressions) {
-    auto result = catalog->Probe(plan);
-    GEQO_CHECK(result.ok()) << result.status().ToString();
-    reprobe.Record(*result);
+    reprobe.Record(Step(*catalog, plan, /*add=*/false));
   }
   phases.push_back(reprobe.Finish("reprobe", *catalog));
   PrintPhase(phases.back());
@@ -286,9 +298,7 @@ int main() {
   // pair has been decided once, so the verifier is never invoked again.
   PhaseAccumulator steady;
   for (const PlanPtr& plan : workload.subexpressions) {
-    auto result = catalog->Probe(plan);
-    GEQO_CHECK(result.ok()) << result.status().ToString();
-    steady.Record(*result);
+    steady.Record(Step(*catalog, plan, /*add=*/false));
   }
   phases.push_back(steady.Finish("steady", *catalog));
   PrintPhase(phases.back());
@@ -353,14 +363,14 @@ int main() {
               kernel_phases[1].label.c_str(), speedup);
 
   // Phase 5: the multi-client open-loop comparison. The baseline is the
-  // pre-sharding deployment: one EquivalenceCatalog behind one mutex, so an
-  // adder's in-lock verification serializes every concurrent probe behind
-  // it. The sharded catalog routes probes to per-shard reader-writer locks
-  // and pushes verification onto the async plane. Both configurations run
-  // with the modeled SPES invocation stall (the paper's AV is a JVM + Z3
-  // subprocess per check, ~18 ms — see kSpesInvocationOverheadSeconds):
-  // the phase measures where that unavoidable cost lands, inline under the
-  // serving lock or off it.
+  // pre-sharding deployment: the synchronous one-shard catalog behind one
+  // mutex, draining inline under it, so an adder's in-lock verification
+  // serializes every concurrent probe behind it. The sharded catalog routes
+  // probes to per-shard reader-writer locks and pushes verification onto
+  // the async plane. Both configurations run with the modeled SPES
+  // invocation stall (the paper's AV is a JVM + Z3 subprocess per check,
+  // ~18 ms — see kSpesInvocationOverheadSeconds): the phase measures where
+  // that unavoidable cost lands, inline under the serving lock or off it.
   std::printf("\n# open-loop multi-client serving (probe p99 under writes, "
               "modeled %.0f ms AV stall)\n",
               kSpesInvocationOverheadSeconds * 1e3);
@@ -389,13 +399,13 @@ int main() {
     // A fresh baseline catalog with the modeled AV stall, warmed with the
     // same entries the sharded run below starts from (warm-up runs before
     // the clock, outside the mutex).
-    serve::CatalogOptions baseline_options;
-    baseline_options.pipeline = context.system->options().pipeline;
-    baseline_options.pipeline.verifier.modeled_invocation_stall_seconds =
+    GeqoOptions baseline_pipeline = context.system->options().pipeline;
+    baseline_pipeline.verifier.modeled_invocation_stall_seconds =
         kSpesInvocationOverheadSeconds;
-    auto baseline = context.system->OpenCatalog(baseline_options);
+    auto baseline = context.system->OpenShardedCatalog(
+        serve::ShardedCatalogOptions::Synchronous(baseline_pipeline));
     for (const PlanPtr& plan : workload.subexpressions) {
-      GEQO_CHECK(baseline->ProbeAdd(plan).ok());
+      Step(*baseline, plan, /*add=*/true);
     }
     std::mutex mu;
     concurrent.push_back(RunOpenLoop(
@@ -403,11 +413,11 @@ int main() {
         growth.subexpressions, interval_seconds, probes_per_prober,
         [&](const PlanPtr& plan) {
           std::lock_guard<std::mutex> lock(mu);
-          return baseline->Probe(plan).ok();
+          return serve::ProbeAndDrain(*baseline, plan).ok();
         },
         [&](const PlanPtr& plan) {
           std::lock_guard<std::mutex> lock(mu);
-          return baseline->ProbeAdd(plan).ok();
+          return serve::ProbeAddAndDrain(*baseline, plan).ok();
         }));
     concurrent.back().num_shards = 1;
     concurrent.back().verifier_threads = 0;
@@ -501,15 +511,20 @@ int main() {
     const size_t tail_count = Pick(60, 120, 240);
     const size_t populated = all_plans.size() - tail_count;
 
-    auto store = context.system->OpenCatalogStore(dir, all_plans);
+    const serve::ShardedCatalogOptions store_options =
+        serve::ShardedCatalogOptions::Synchronous(
+            context.system->options().pipeline);
+    auto store =
+        context.system->OpenShardedCatalogStore(dir, all_plans, store_options);
     GEQO_CHECK(store.ok()) << store.status().ToString();
+    serve::ShardedCatalog& stored = *(*store)->sharded();
     for (const PlanPtr& plan : workload.subexpressions) {
-      GEQO_CHECK((*store)->catalog()->ProbeAdd(plan).ok());
+      Step(stored, plan, /*add=*/true);
     }
-    for (size_t i = (*store)->catalog()->size(); i < populated; ++i) {
-      GEQO_CHECK((*store)->catalog()->Add(all_plans[i]).ok());
+    for (size_t i = stored.size(); i < populated; ++i) {
+      GEQO_CHECK(stored.Add(all_plans[i]).ok());
     }
-    durability.entries = (*store)->catalog()->size();
+    durability.entries = stored.size();
     durability.wal_records = (*store)->stats().wal_records_appended;
 
     // (a) Legacy full-snapshot pause: what Save(path) used to cost —
@@ -542,16 +557,17 @@ int main() {
     // reopen imports the base and replays only the tail generation.
     GEQO_CHECK_OK((*store)->Compact());
     for (size_t i = populated; i < all_plans.size(); ++i) {
-      GEQO_CHECK((*store)->catalog()->Add(all_plans[i]).ok());
+      GEQO_CHECK(stored.Add(all_plans[i]).ok());
     }
     GEQO_CHECK_OK((*store)->Close());
 
     Stopwatch reopen_watch;
-    auto reopened = context.system->OpenCatalogStore(dir, all_plans);
+    auto reopened =
+        context.system->OpenShardedCatalogStore(dir, all_plans, store_options);
     GEQO_CHECK(reopened.ok()) << reopened.status().ToString();
     durability.recovery_replay_ms = reopen_watch.ElapsedSeconds() * 1e3;
-    GEQO_CHECK((*reopened)->catalog()->size() == all_plans.size())
-        << "recovery lost entries: " << (*reopened)->catalog()->size()
+    GEQO_CHECK((*reopened)->sharded()->size() == all_plans.size())
+        << "recovery lost entries: " << (*reopened)->sharded()->size()
         << " of " << all_plans.size();
     GEQO_CHECK_OK((*reopened)->Close());
     std::filesystem::remove_all(dir, ec);

@@ -1,7 +1,9 @@
 /// \file serving_demo.cpp
-/// Online serving walkthrough: streams a workload through an
-/// EquivalenceCatalog with ProbeAdd — each query is checked against
-/// everything seen so far, then becomes part of the catalog — closes the
+/// Online serving walkthrough: streams a workload through a one-shard
+/// ShardedCatalog in deferred mode (verifier_threads = 0), draining the
+/// verification plane after each ProbeAdd — so each query is checked and
+/// verified against everything seen so far, then becomes part of the
+/// catalog, before the next one arrives. It also closes the
 /// compute-reuse loop (each probed query is served through an
 /// OnlineResultCache keyed by its equivalence class, executing on the
 /// vectorized engine only on a miss), and shows the durable-store
@@ -13,7 +15,7 @@
 ///   ./serving_demo --phase1 BASE      # first half into BASE.store, compact
 ///   ./serving_demo --phase2 BASE      # reopen the store, replay the rest
 ///
-/// Both phases resume from catalog->size(), so a run killed mid-stream (the
+/// Both phases resume from catalog.size(), so a run killed mid-stream (the
 /// recovery lane in scripts/check.sh arms GEQO_PERSIST_KILL_POINT=
 /// "demo-probe:N" to die after N probes) reopens the same store and replays
 /// only the probes whose records never reached the log. Every probe prints
@@ -58,30 +60,40 @@ std::vector<geqo::PlanPtr> BuildStream(const geqo::Catalog& catalog) {
   return stream;
 }
 
-void PrintProbe(size_t index, const geqo::serve::ProbeAddResult& result) {
+/// The session counters behind the summary line.
+struct SessionWork {
+  size_t probes = 0;
+  size_t verifier_calls = 0;
+  size_t memo_hits = 0;
+  size_t class_shortcuts = 0;
+};
+
+/// One line per verified ProbeAdd. The new entry's class after the drain is
+/// itself plus every class the probe proved.
+void PrintProbe(size_t index, const geqo::serve::ShardedCatalog& catalog,
+                const geqo::serve::VerifiedProbe& step) {
+  const size_t id = step.id;
   std::string equivalents;
-  for (const size_t id : result.probe.equivalent_ids) {
+  for (const size_t member : catalog.ClassMembers(id)) {
+    if (member == id) continue;
     if (!equivalents.empty()) equivalents += ",";
-    equivalents += std::to_string(id);
+    equivalents += std::to_string(member);
   }
   std::printf(
       "PROBE %zu: id=%zu class=%zu eq=[%s] calls=%zu memo=%zu shortcuts=%zu\n",
-      index, result.id, result.class_id, equivalents.c_str(),
-      result.probe.verifier_calls, result.probe.memo_hits,
-      result.probe.class_shortcuts);
+      index, id, catalog.ClassOf(id), equivalents.c_str(),
+      step.verifier_calls, step.memo_hits, step.class_shortcuts);
 }
 
-void PrintSummary(const geqo::serve::EquivalenceCatalog& catalog) {
-  const geqo::serve::CatalogStats& stats = catalog.stats();
+void PrintSummary(const geqo::serve::ShardedCatalog& catalog,
+                  const SessionWork& session) {
   std::printf(
       "catalog: %zu entries, %zu classes, %zu memoized verdicts\n"
-      "session: %llu probes, %llu verifier calls, %llu memo hits, "
-      "%llu class shortcuts\n",
+      "session: %zu probes, %zu verifier calls, %zu memo hits, "
+      "%zu class shortcuts\n",
       catalog.size(), catalog.NumClasses(), catalog.memo_size(),
-      static_cast<unsigned long long>(stats.probes),
-      static_cast<unsigned long long>(stats.verifier_calls),
-      static_cast<unsigned long long>(stats.memo_hits),
-      static_cast<unsigned long long>(stats.class_shortcuts));
+      session.probes, session.verifier_calls, session.memo_hits,
+      session.class_shortcuts);
 }
 
 /// The serving side of the reuse loop: queries execute on the vectorized
@@ -130,18 +142,23 @@ struct ReuseLoop {
   std::map<size_t, Profile> profiles;
 };
 
-/// Streams stream[catalog->size()..limit) through the catalog, printing one
+/// Streams stream[catalog.size()..limit) through the catalog, printing one
 /// PROBE line per query (plus one SERVE line from the reuse loop). The
-/// "demo-probe" kill point fires after each fully logged probe so the
-/// recovery lane can crash the process at an exact op boundary.
-void RunStream(geqo::serve::EquivalenceCatalog* catalog,
+/// "demo-probe" kill point fires after each fully verified and logged probe
+/// so the recovery lane can crash the process at an exact op boundary.
+void RunStream(geqo::serve::ShardedCatalog& catalog,
                const std::vector<geqo::PlanPtr>& stream, size_t limit,
-               ReuseLoop* reuse) {
-  for (size_t i = catalog->size(); i < limit; ++i) {
-    auto result = catalog->ProbeAdd(stream[i]);
-    GEQO_CHECK(result.ok()) << result.status().ToString();
-    PrintProbe(i, *result);
-    reuse->Serve(i, stream[i], result->class_id);
+               ReuseLoop* reuse, SessionWork* session) {
+  for (size_t i = catalog.size(); i < limit; ++i) {
+    // ProbeAdd, then drain the deferred plane: the synchronous contract.
+    auto step = geqo::serve::ProbeAddAndDrain(catalog, stream[i]);
+    GEQO_CHECK(step.ok()) << step.status().ToString();
+    ++session->probes;
+    session->verifier_calls += step->verifier_calls;
+    session->memo_hits += step->memo_hits;
+    session->class_shortcuts += step->class_shortcuts;
+    PrintProbe(i, catalog, *step);
+    reuse->Serve(i, stream[i], catalog.ClassOf(step->id));
     // Armed kills die via _exit, which skips stdio flushing — flush so the
     // recovery lane's PROBE-line diff sees everything printed before the
     // crash.
@@ -185,20 +202,27 @@ int main(int argc, char** argv) {
   data_options.seed = 0xDE40;
   const Database database = Database::Generate(catalog, data_options);
   ReuseLoop reuse(&database);
+  SessionWork session;
+
+  // One shard, no background verifier threads: the plane is drained inline
+  // after every ProbeAdd, so the stream is verified in order.
+  const serve::ShardedCatalogOptions serve_options =
+      serve::ShardedCatalogOptions::Synchronous(system.options().pipeline);
 
   if (mode == "--phase1") {
     // First half into a durable store. Compact() at the end folds the log
     // into a base segment, so phase2 recovers base + log tail rather than a
     // pure log replay.
-    auto store = system.OpenCatalogStore(base + ".store", stream);
+    auto store =
+        system.OpenShardedCatalogStore(base + ".store", stream, serve_options);
     GEQO_CHECK(store.ok()) << store.status().ToString();
-    RunStream((*store)->catalog(), stream, half, &reuse);
+    RunStream(*(*store)->sharded(), stream, half, &reuse, &session);
     GEQO_CHECK_OK(system.SaveSnapshot(base + ".system"));
     GEQO_CHECK_OK((*store)->Checkpoint());
     GEQO_CHECK_OK((*store)->Compact());
     std::printf("durable state written: %s.system, %s.store\n", base.c_str(),
                 base.c_str());
-    PrintSummary(*(*store)->catalog());
+    PrintSummary(*(*store)->sharded(), session);
     GEQO_CHECK_OK((*store)->Close());
     return 0;
   }
@@ -208,16 +232,17 @@ int main(int argc, char** argv) {
     // (base import + log replay), then resume the stream wherever the
     // recovered catalog left off.
     GEQO_CHECK_OK(system.LoadSnapshot(base + ".system"));
-    auto store = system.OpenCatalogStore(base + ".store", stream);
+    auto store =
+        system.OpenShardedCatalogStore(base + ".store", stream, serve_options);
     GEQO_CHECK(store.ok()) << store.status().ToString();
-    RunStream((*store)->catalog(), stream, stream.size(), &reuse);
-    PrintSummary(*(*store)->catalog());
+    RunStream(*(*store)->sharded(), stream, stream.size(), &reuse, &session);
+    PrintSummary(*(*store)->sharded(), session);
     GEQO_CHECK_OK((*store)->Close());
     return 0;
   }
 
-  auto serving = system.OpenCatalog();
-  RunStream(serving.get(), stream, stream.size(), &reuse);
-  PrintSummary(*serving);
+  auto serving = system.OpenShardedCatalog(serve_options);
+  RunStream(*serving, stream, stream.size(), &reuse, &session);
+  PrintSummary(*serving, session);
   return 0;
 }

@@ -65,14 +65,17 @@ GEQO_VALIDATE=1 GEQO_TRACE=spans \
 echo "== serving store round-trip smoke =="
 # The serving catalog's core guarantee: a stream interrupted by
 # stop+restart replays from its CatalogStore directory with bit-identical
-# probe results, and every durable file (system snapshot, manifest, base
-# segment, delta-log partitions) passes the artifact linter.
+# probe results — the checked-in golden PROBE lines — and every durable
+# file (system snapshot, manifest, base segment, delta-log partitions)
+# passes the artifact linter.
+probe_golden=examples/golden/serving_demo.probe
 check_serving_roundtrip() {
   local demo="$1" snap_base="$2"
   GEQO_VALIDATE=1 "$demo" > "$smoke_dir/serve_full.txt"
   GEQO_VALIDATE=1 "$demo" --phase1 "$snap_base" > "$smoke_dir/serve_p1.txt"
   GEQO_VALIDATE=1 "$demo" --phase2 "$snap_base" > "$smoke_dir/serve_p2.txt"
-  diff <(grep '^PROBE' "$smoke_dir/serve_full.txt") \
+  diff "$probe_golden" <(grep '^PROBE' "$smoke_dir/serve_full.txt")
+  diff "$probe_golden" \
        <(cat <(grep '^PROBE' "$smoke_dir/serve_p1.txt") \
              <(grep '^PROBE' "$smoke_dir/serve_p2.txt"))
   "$lint" "$snap_base.system" "$snap_base.store"/MANIFEST \
@@ -83,7 +86,7 @@ check_serving_roundtrip ./build/examples/serving_demo "$smoke_dir/serve_snap"
 echo "== crash-recovery smoke =="
 # Kill the demo mid-stream at an exact probe boundary (the demo-probe kill
 # point, armed via the env hook), reopen the half-written store, and demand
-# the concatenated PROBE lines match the uninterrupted run byte for byte —
+# the concatenated PROBE lines match the golden run byte for byte —
 # real WAL replay, not a clean shutdown. The crashed store's files must
 # still lint clean afterwards.
 check_crash_recovery() {
@@ -98,7 +101,7 @@ check_crash_recovery() {
   # Resume phase1 from the recovered store, then phase2 as usual.
   GEQO_VALIDATE=1 "$demo" --phase1 "$snap_base" > "$smoke_dir/serve_resume.txt"
   GEQO_VALIDATE=1 "$demo" --phase2 "$snap_base" > "$smoke_dir/serve_tail.txt"
-  diff <(grep '^PROBE' "$smoke_dir/serve_full.txt") \
+  diff "$probe_golden" \
        <(cat <(grep '^PROBE' "$smoke_dir/serve_killed.txt") \
              <(grep '^PROBE' "$smoke_dir/serve_resume.txt") \
              <(grep '^PROBE' "$smoke_dir/serve_tail.txt"))

@@ -731,9 +731,11 @@ void LintStoreManifest(std::string_view bytes, Diagnostics* out) {
     At(out, "manifest.truncated", "manifest header is cut off", 0);
     return;
   }
-  if (kind != 1 && kind != 2) {  // StoreKind::kSingle / kSharded
+  if (kind != io::kManifestShardedKind) {
     At(out, "manifest.kind",
-       "unknown store kind " + std::to_string(kind), kind_offset);
+       "unsupported store kind " + std::to_string(kind) +
+           " (only sharded-catalog stores are readable)",
+       kind_offset);
     return;
   }
   if (num_shards == 0 || num_shards > kMaxLintShards) {

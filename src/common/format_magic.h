@@ -40,6 +40,10 @@ constexpr uint64_t kShardedCatalogVersion = 1;
 constexpr uint64_t kManifestMagic = 0x4745514f4d414e49ULL;
 constexpr uint64_t kManifestEndMagic = 0x4d414e49454e4421ULL;
 constexpr uint64_t kManifestVersion = 1;
+/// The manifest's store-kind word: every store holds one ShardedCatalog.
+/// Kind 1 (the retired single-catalog store) and any other value are
+/// rejected by the loader and the linter alike.
+constexpr uint64_t kManifestShardedKind = 2;
 
 /// Catalog delta-log partition ("GEQOWALG"): a fixed header (magic, version,
 /// file id, shard index) followed by individually-framed mutation records —

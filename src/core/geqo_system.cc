@@ -173,19 +173,6 @@ Status GeqoSystem::LoadSnapshot(const std::string& path) {
   return Status::OK();
 }
 
-std::unique_ptr<serve::EquivalenceCatalog> GeqoSystem::OpenCatalog(
-    serve::CatalogOptions options) {
-  return std::make_unique<serve::EquivalenceCatalog>(
-      catalog_, model_.get(), &instance_layout_, &agnostic_layout_,
-      options_.value_range, options);
-}
-
-std::unique_ptr<serve::EquivalenceCatalog> GeqoSystem::OpenCatalog() {
-  serve::CatalogOptions options;
-  options.pipeline = options_.pipeline;
-  return OpenCatalog(options);
-}
-
 serve::CatalogComponents GeqoSystem::ServeComponents() {
   serve::CatalogComponents components;
   components.db_catalog = catalog_;
@@ -196,30 +183,9 @@ serve::CatalogComponents GeqoSystem::ServeComponents() {
   return components;
 }
 
-Result<std::unique_ptr<serve::EquivalenceCatalog>>
-GeqoSystem::ImportCatalogSnapshot(std::istream& is,
-                                  const std::vector<PlanPtr>& plans) {
-  serve::CatalogOptions options;
-  options.pipeline = options_.pipeline;
-  return serve::EquivalenceCatalog::ImportSnapshot(
-      is, catalog_, model_.get(), &instance_layout_, &agnostic_layout_,
-      options_.value_range, plans, options);
-}
-
-Result<std::unique_ptr<serve::CatalogStore>> GeqoSystem::OpenCatalogStore(
-    const std::string& dir, const std::vector<PlanPtr>& plans,
-    serve::DurabilityOptions durability) {
-  serve::CatalogOptions options;
-  options.pipeline = options_.pipeline;
-  return serve::CatalogStore::Open(dir, ServeComponents(), plans, options,
-                                   durability);
-}
-
 std::unique_ptr<serve::ShardedCatalog> GeqoSystem::OpenShardedCatalog(
     serve::ShardedCatalogOptions options) {
-  return std::make_unique<serve::ShardedCatalog>(
-      catalog_, model_.get(), &instance_layout_, &agnostic_layout_,
-      options_.value_range, options);
+  return std::make_unique<serve::ShardedCatalog>(ServeComponents(), options);
 }
 
 std::unique_ptr<serve::ShardedCatalog> GeqoSystem::OpenShardedCatalog() {
@@ -232,17 +198,16 @@ Result<std::unique_ptr<serve::ShardedCatalog>> GeqoSystem::ImportShardedSnapshot
     std::istream& is, const std::vector<PlanPtr>& plans,
     serve::ShardedCatalogOptions options) {
   options.catalog.pipeline = options_.pipeline;
-  return serve::ShardedCatalog::ImportSnapshot(
-      is, catalog_, model_.get(), &instance_layout_, &agnostic_layout_,
-      options_.value_range, plans, options);
+  return serve::ShardedCatalog::ImportSnapshot(is, ServeComponents(), plans,
+                                               options);
 }
 
 Result<std::unique_ptr<serve::CatalogStore>> GeqoSystem::OpenShardedCatalogStore(
     const std::string& dir, const std::vector<PlanPtr>& plans,
     serve::ShardedCatalogOptions options, serve::DurabilityOptions durability) {
   options.catalog.pipeline = options_.pipeline;
-  return serve::CatalogStore::OpenSharded(dir, ServeComponents(), plans,
-                                          options, durability);
+  return serve::CatalogStore::Open(dir, ServeComponents(), plans, options,
+                                   durability);
 }
 
 }  // namespace geqo

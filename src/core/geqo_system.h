@@ -8,7 +8,6 @@
 #include "pipeline/baselines.h"
 #include "pipeline/geqo.h"
 #include "pipeline/ssfl.h"
-#include "serve/equivalence_catalog.h"
 #include "serve/persist/catalog_store.h"
 #include "serve/sharded_catalog.h"
 #include "workload/labeled_data.h"
@@ -79,32 +78,13 @@ class GeqoSystem {
   Status SaveSnapshot(const std::string& path);
   Status LoadSnapshot(const std::string& path);
 
-  /// Opens an empty online serving catalog (§7.7) wired to this system's
-  /// model, layouts, and calibrated pipeline options. The catalog borrows
-  /// the system's components: the system must outlive it.
-  std::unique_ptr<serve::EquivalenceCatalog> OpenCatalog(
-      serve::CatalogOptions options);
-  std::unique_ptr<serve::EquivalenceCatalog> OpenCatalog();
-
-  /// Restores a one-shot serving catalog export (GEQOCATG stream) against
-  /// this system (see serve::EquivalenceCatalog::ImportSnapshot for the
-  /// \p plans contract). For durable serving state use OpenCatalogStore.
-  Result<std::unique_ptr<serve::EquivalenceCatalog>> ImportCatalogSnapshot(
-      std::istream& is, const std::vector<PlanPtr>& plans);
-
-  /// Opens (creating or recovering) a durable single-catalog store at
-  /// \p dir, wired to this system's model, layouts, and calibrated
-  /// pipeline options — the replacement for the old save/load-by-path
-  /// quartet (see serve::CatalogStore). Borrowing contract as OpenCatalog:
-  /// the system must outlive the store.
-  Result<std::unique_ptr<serve::CatalogStore>> OpenCatalogStore(
-      const std::string& dir, const std::vector<PlanPtr>& plans,
-      serve::DurabilityOptions durability = serve::DurabilityOptions());
-
-  /// Opens an empty *sharded* serving catalog (concurrent Probe/Add with an
-  /// async verification plane — see serve::ShardedCatalog). The no-argument
-  /// overload uses the system's calibrated pipeline options with the sharded
-  /// defaults. Same borrowing contract as OpenCatalog.
+  /// Opens an empty online serving catalog (§7.7): concurrent Probe/Add
+  /// with an async verification plane (see serve::ShardedCatalog), wired to
+  /// this system's model and layouts. The no-argument overload uses the
+  /// system's calibrated pipeline options with the default shard and
+  /// verifier-thread counts. ShardedCatalogOptions::Synchronous(), drained
+  /// after each ProbeAdd, gives the synchronous contract. The catalog
+  /// borrows the system's components: the system must outlive it.
   std::unique_ptr<serve::ShardedCatalog> OpenShardedCatalog(
       serve::ShardedCatalogOptions options);
   std::unique_ptr<serve::ShardedCatalog> OpenShardedCatalog();
@@ -118,9 +98,10 @@ class GeqoSystem {
       std::istream& is, const std::vector<PlanPtr>& plans,
       serve::ShardedCatalogOptions options = serve::ShardedCatalogOptions());
 
-  /// Opens (creating or recovering) a durable sharded-catalog store at
-  /// \p dir. \p options.catalog.pipeline is overridden with the system's
-  /// calibrated pipeline options. Same borrowing contract as OpenCatalog.
+  /// Opens (creating or recovering) a durable catalog store at \p dir
+  /// (see serve::CatalogStore). \p options.catalog.pipeline is overridden
+  /// with the system's calibrated pipeline options. Same borrowing contract
+  /// as OpenShardedCatalog: the system must outlive the store.
   Result<std::unique_ptr<serve::CatalogStore>> OpenShardedCatalogStore(
       const std::string& dir, const std::vector<PlanPtr>& plans,
       serve::ShardedCatalogOptions options = serve::ShardedCatalogOptions(),

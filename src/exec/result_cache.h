@@ -14,7 +14,7 @@
 /// ResultCacheSimulator replays a fully-profiled workload offline;
 /// OnlineResultCache makes the same value-ordered admission decision one
 /// query at a time, for the serving loop where classes arrive incrementally
-/// (EquivalenceCatalog::ProbeAdd supplies the class ids).
+/// (serve::ShardedCatalog::ProbeAdd supplies the class ids).
 
 namespace geqo {
 

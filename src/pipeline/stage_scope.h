@@ -9,7 +9,7 @@
 /// \file stage_scope.h
 /// Shared stage accounting for cascade runners. Both the batch pipeline
 /// (GeqoPipeline::DetectEquivalences) and the serving layer
-/// (serve::EquivalenceCatalog::Probe) report their work as an ordered
+/// (serve::ShardedCatalog::Probe) report their work as an ordered
 /// std::vector<StageReport>; StageScope is the one implementation of "time a
 /// stage, open a tracing span, capture the registry delta".
 

@@ -1,33 +1,20 @@
 #include "serve/equivalence_catalog.h"
 
 #include <algorithm>
-#include <set>
 #include <sstream>
 
 #include "analysis/plan_validator.h"
 #include "common/binary_io.h"
 #include "common/checksum_io.h"
 #include "common/format_magic.h"
-#include "common/stopwatch.h"
 #include "filters/emf_filter.h"
 #include "filters/vmf.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "pipeline/stage_scope.h"
 #include "plan/canonicalize.h"
 #include "workload/labeled_data.h"
 
 namespace geqo::serve {
-
-namespace {
-
-double SumStageSeconds(const std::vector<StageReport>& stages) {
-  double total = 0.0;
-  for (const StageReport& stage : stages) total += stage.seconds;
-  return total;
-}
-
-}  // namespace
 
 std::string_view MatchVerdictToString(MatchVerdict verdict) {
   switch (verdict) {
@@ -41,24 +28,15 @@ std::string_view MatchVerdictToString(MatchVerdict verdict) {
   return "invalid";
 }
 
-EquivalenceCatalog::EquivalenceCatalog(const Catalog* db_catalog,
-                                       ml::EmfModel* model,
-                                       const EncodingLayout* instance_layout,
-                                       const EncodingLayout* agnostic_layout,
-                                       ValueRange value_range,
+EquivalenceCatalog::EquivalenceCatalog(const CatalogComponents& wiring,
                                        CatalogOptions options)
-    : db_catalog_(db_catalog),
-      model_(model),
-      instance_layout_(instance_layout),
-      agnostic_layout_(agnostic_layout),
-      value_range_(value_range),
-      options_(options),
-      options_status_(options.Validate()),
-      verifier_(db_catalog, options.pipeline.verifier) {
+    : wiring_(wiring),
+      options_(std::move(options)),
+      options_status_(options_.Validate()) {
   // Only build the index once the options are known-valid (the HnswIndex
   // constructor enforces its parameters with aborts, not Status).
   if (options_status_.ok()) {
-    index_ = std::make_unique<ann::HnswIndex>(model_->embedding_dim(),
+    index_ = std::make_unique<ann::HnswIndex>(wiring_.model->embedding_dim(),
                                               options_.pipeline.vmf.hnsw);
   }
 }
@@ -73,7 +51,8 @@ std::vector<size_t> EquivalenceCatalog::ClassMembers(size_t id) const {
 }
 
 Result<EquivalenceCatalog::QueryContext> EquivalenceCatalog::PrepareQuery(
-    const PlanPtr& plan) const {
+    const CatalogComponents& wiring, const PlanPtr& plan) {
+  const Catalog& db_catalog = *wiring.db_catalog;
   QueryContext query;
   query.plan = plan;
   // Canonicalize exactly once: both hashes and the debug fixed-point check
@@ -83,18 +62,29 @@ Result<EquivalenceCatalog::QueryContext> EquivalenceCatalog::PrepareQuery(
   // canonical form must be a Canonicalize fixed point (the canonical hash
   // below is only meaningful if canonicalization is idempotent).
   if (analysis::DebugValidationEnabled()) {
-    analysis::DebugValidatePlan(plan, *db_catalog_, "serve.PrepareQuery");
-    analysis::DebugValidateCanonical(canonical, *db_catalog_,
+    analysis::DebugValidatePlan(plan, db_catalog, "serve.PrepareQuery");
+    analysis::DebugValidateCanonical(canonical, db_catalog,
                                      "serve.PrepareQuery/canonical");
   }
   query.canonical_hash = canonical->Hash();
   query.check_hash = CanonicalCheckHash(canonical);
-  GEQO_ASSIGN_OR_RETURN(query.signature, SchemaSignature(plan, *db_catalog_));
-  GEQO_ASSIGN_OR_RETURN(
-      std::vector<EncodedPlan> encoded,
-      EncodeWorkload({plan}, *instance_layout_, *db_catalog_, value_range_));
+  GEQO_ASSIGN_OR_RETURN(query.signature, SchemaSignature(plan, db_catalog));
+  GEQO_ASSIGN_OR_RETURN(std::vector<EncodedPlan> encoded,
+                        EncodeWorkload({plan}, *wiring.instance_layout,
+                                       db_catalog, wiring.value_range));
   query.encoded = std::move(encoded[0]);
   return query;
+}
+
+Result<std::vector<float>> EquivalenceCatalog::EmbedQuery(
+    const CatalogComponents& wiring, const VmfOptions& vmf_options,
+    const QueryContext& query) {
+  // The embedding uses the singleton agnostic map (see EmbedSingle): it
+  // depends only on the plan, so it is computed exactly once per entry for
+  // the catalog's whole lifetime, across any number of later Adds.
+  const VectorMatchingFilter vmf(wiring.model, wiring.instance_layout,
+                                 wiring.agnostic_layout, vmf_options);
+  return vmf.EmbedSingle(query.encoded);
 }
 
 void EquivalenceCatalog::UpdateGauges() const {
@@ -105,29 +95,7 @@ void EquivalenceCatalog::UpdateGauges() const {
   registry.GetGauge("serve.memo_size").Set(static_cast<double>(memo_.size()));
 }
 
-Result<size_t> EquivalenceCatalog::Add(const PlanPtr& plan) {
-  GEQO_RETURN_NOT_OK(options_status_);
-  obs::Span span("serve.Add");
-  GEQO_ASSIGN_OR_RETURN(QueryContext query, PrepareQuery(plan));
-  return AddPrepared(std::move(query));
-}
-
-Result<std::vector<float>> EquivalenceCatalog::EmbedQuery(
-    const QueryContext& query) const {
-  // The embedding uses the singleton agnostic map (see EmbedSingle): it
-  // depends only on the plan, so it is computed exactly once per entry for
-  // the catalog's whole lifetime, across any number of later Adds.
-  const VectorMatchingFilter vmf(model_, instance_layout_, agnostic_layout_,
-                                 options_.pipeline.vmf);
-  return vmf.EmbedSingle(query.encoded);
-}
-
-Result<size_t> EquivalenceCatalog::AddPrepared(QueryContext query) {
-  GEQO_ASSIGN_OR_RETURN(const std::vector<float> embedding, EmbedQuery(query));
-  return AddWithEmbedding(std::move(query), embedding);
-}
-
-Result<size_t> EquivalenceCatalog::AddWithEmbedding(
+size_t EquivalenceCatalog::AddWithEmbedding(
     QueryContext query, const std::vector<float>& embedding) {
   const size_t id = index_->Add(embedding);
   GEQO_CHECK(id == entries_.size());
@@ -136,60 +104,11 @@ Result<size_t> EquivalenceCatalog::AddWithEmbedding(
                            query.check_hash, std::move(query.encoded)});
   const size_t class_id = classes_.Add();
   GEQO_CHECK(class_id == id);
-  // Journal after the in-memory commit: the hashes are what replay needs to
-  // re-derive (and verify) this entry from its plan.
-  if (journal_ != nullptr) {
-    journal_->OnAdd(0, id, query.canonical_hash, query.check_hash);
-  }
-  ++stats_.adds;
   if (obs::MetricsEnabled()) {
     obs::MetricsRegistry::Global().GetCounter("serve.adds").Add(1);
     UpdateGauges();
   }
   return id;
-}
-
-Result<ProbeResult> EquivalenceCatalog::Probe(const PlanPtr& plan) {
-  GEQO_RETURN_NOT_OK(options_status_);
-  // The span and the stage clock start here, before PrepareQuery does its
-  // (non-trivial) canonicalize/encode work — a probe's reported latency is
-  // the full entry-to-exit cost.
-  obs::Span span("serve.Probe");
-  StageReport prepare = MakeStage("prepare", true);
-  StageScope prepare_scope("serve.prepare");
-  Result<QueryContext> query = PrepareQuery(plan);
-  GEQO_RETURN_NOT_OK(query.status());
-  prepare.pairs_in = 1;
-  prepare.pairs_out = 1;
-  prepare_scope.Finish(&prepare);
-  return ProbePrepared(*query, std::move(prepare));
-}
-
-EquivalenceVerdict EquivalenceCatalog::VerdictFor(const QueryContext& query,
-                                                  size_t id,
-                                                  ProbeResult* result) {
-  const Entry& entry = entries_[id];
-  const CheckedPair memo_key =
-      MakeCheckedPair(query.canonical_hash, query.check_hash,
-                      entry.canonical_hash, entry.check_hash);
-  const VerifierMemo::LookupOutcome memoized =
-      memo_.Lookup(memo_key.key, memo_key.check);
-  if (memoized.collision) ++stats_.memo_collisions;
-  if (memoized.verdict) {
-    ++stats_.memo_hits;
-    ++result->memo_hits;
-    return *memoized.verdict;
-  }
-  ++stats_.verifier_calls;
-  ++result->verifier_calls;
-  const EquivalenceVerdict verdict =
-      verifier_.CheckEquivalence(query.plan, entry.plan);
-  memo_.Insert(memo_key.key, memo_key.check, verdict);
-  if (journal_ != nullptr) {
-    journal_->OnVerdict(0, memo_key.key.lo, memo_key.key.hi, memo_key.check.lo,
-                        memo_key.check.hi, static_cast<uint8_t>(verdict));
-  }
-  return verdict;
 }
 
 Result<EquivalenceCatalog::FilterOutcome> EquivalenceCatalog::RunFilters(
@@ -220,8 +139,8 @@ Result<EquivalenceCatalog::FilterOutcome> EquivalenceCatalog::RunFilters(
   StageScope vmf_scope("serve.vmf");
   std::vector<size_t> candidates;
   if (opt.use_vmf && !pool.empty()) {
-    const VectorMatchingFilter vmf(model_, instance_layout_, agnostic_layout_,
-                                   opt.vmf);
+    const VectorMatchingFilter vmf(wiring_.model, wiring_.instance_layout,
+                                   wiring_.agnostic_layout, opt.vmf);
     GEQO_ASSIGN_OR_RETURN(const std::vector<float> embedding,
                           vmf.EmbedSingle(query.encoded));
     std::vector<size_t> hits;
@@ -248,8 +167,8 @@ Result<EquivalenceCatalog::FilterOutcome> EquivalenceCatalog::RunFilters(
   emf_report.pairs_in = candidates.size();
   std::vector<float> survivor_scores;
   if (opt.use_emf && !candidates.empty()) {
-    const EquivalenceModelFilter emf(model_, instance_layout_,
-                                     agnostic_layout_, opt.emf);
+    const EquivalenceModelFilter emf(wiring_.model, wiring_.instance_layout,
+                                     wiring_.agnostic_layout, opt.emf);
     std::vector<const EncodedPlan*> views;
     views.reserve(candidates.size() + 1);
     views.push_back(&query.encoded);
@@ -281,99 +200,51 @@ Result<EquivalenceCatalog::FilterOutcome> EquivalenceCatalog::RunFilters(
   return out;
 }
 
-Result<ProbeResult> EquivalenceCatalog::ProbePrepared(const QueryContext& query,
-                                                      StageReport prepare) {
-  ProbeResult result;
-  result.stages.push_back(std::move(prepare));
-  ++stats_.probes;
-  const GeqoOptions& opt = options_.pipeline;
+CheckedPair EquivalenceCatalog::MemoKey(uint64_t query_hash,
+                                        uint64_t query_check,
+                                        size_t id) const {
+  const Entry& entry = entries_[id];
+  return MakeCheckedPair(query_hash, query_check, entry.canonical_hash,
+                         entry.check_hash);
+}
 
-  GEQO_ASSIGN_OR_RETURN(FilterOutcome filtered,
-                        RunFilters(query, &result.stages));
-  std::vector<size_t>& candidates = filtered.candidates;
-  result.candidate_ids = candidates;
+EquivalenceCatalog::AgendaWalk EquivalenceCatalog::WalkAgenda(
+    uint64_t query_hash, uint64_t query_check,
+    const std::vector<size_t>& agenda, size_t start) const {
+  // The class-at-a-time cascade, memo side: the root (agenda[0]) decides
+  // the class — members are mutually proven equivalent, so either decisive
+  // verdict transfers — and only a kUnknown (budget exhaustion /
+  // unsupported fragment) moves on to the next surviving member, since
+  // q ~ member and member ~ root compose just as well.
+  AgendaWalk walk;
+  for (walk.stop = start; walk.stop < agenda.size(); ++walk.stop) {
+    const CheckedPair key = MemoKey(query_hash, query_check, agenda[walk.stop]);
+    const VerifierMemo::LookupOutcome memoized =
+        memo_.Lookup(key.key, key.check);
+    if (memoized.collision) ++walk.collisions;
+    if (!memoized.verdict) {
+      walk.missed = true;
+      return walk;
+    }
+    ++walk.memo_hits;
+    if (*memoized.verdict != EquivalenceVerdict::kUnknown) {
+      walk.decision = *memoized.verdict;
+      return walk;
+    }
+  }
+  return walk;
+}
 
-  // Stage 4: verification, memo-first and class-at-a-time. Candidates are
-  // grouped by equivalence class; the representative (the class's oldest
-  // member) is decided first. A proof adopts the entire class and a
-  // refutation rejects it — members are mutually proven equivalent, so
-  // either verdict transfers — and only a kUnknown (budget exhaustion /
-  // unsupported fragment) falls back to the class's individual survivors.
-  StageReport verify_report = MakeStage("verify", opt.run_verifier);
-  StageScope verify_scope("serve.verify");
-  std::vector<size_t> equivalent;
-  std::vector<size_t> proven_roots;
-  if (!opt.run_verifier) {
-    // Batch-pipeline parity: without the verifier, the filter survivors are
-    // reported as (approximate) equivalences.
-    equivalent = candidates;
-    for (const size_t id : candidates) {
-      proven_roots.push_back(classes_.Find(id));
-    }
-  } else if (!candidates.empty()) {
-    const VerifierStats before = verifier_.stats();
-    std::map<size_t, std::vector<size_t>> by_class;
-    for (const size_t id : candidates) {
-      by_class[classes_.Find(id)].push_back(id);
-    }
-    for (const auto& [root, class_candidates] : by_class) {
-      size_t lookups = 1;
-      EquivalenceVerdict verdict = VerdictFor(query, root, &result);
-      if (verdict == EquivalenceVerdict::kUnknown) {
-        // The representative was inconclusive; any surviving member can
-        // still decide the class (q ~ member and member ~ root compose).
-        for (const size_t id : class_candidates) {
-          if (id == root) continue;
-          ++lookups;
-          verdict = VerdictFor(query, id, &result);
-          if (verdict != EquivalenceVerdict::kUnknown) break;
-        }
-      }
-      if (verdict == EquivalenceVerdict::kEquivalent) {
-        const std::vector<size_t> members = ClassMembers(root);
-        equivalent.insert(equivalent.end(), members.begin(), members.end());
-        proven_roots.push_back(root);
-        if (members.size() > lookups) {
-          const size_t shortcuts = members.size() - lookups;
-          result.class_shortcuts += shortcuts;
-          stats_.class_shortcuts += shortcuts;
-        }
-      } else if (verdict == EquivalenceVerdict::kNotEquivalent &&
-                 class_candidates.size() > lookups) {
-        const size_t shortcuts = class_candidates.size() - lookups;
-        result.class_shortcuts += shortcuts;
-        stats_.class_shortcuts += shortcuts;
-      }
-    }
-    FoldVerifierStatsToMetrics(verifier_.stats().DeltaSince(before));
+size_t EquivalenceCatalog::ClassShortcuts(EquivalenceVerdict decision,
+                                          const std::vector<size_t>& agenda,
+                                          size_t lookups) const {
+  size_t decided = 0;
+  if (decision == EquivalenceVerdict::kEquivalent) {
+    decided = classes_.ClassSize(agenda.front());
+  } else if (decision == EquivalenceVerdict::kNotEquivalent) {
+    decided = agenda.size();
   }
-  std::sort(equivalent.begin(), equivalent.end());
-  equivalent.erase(std::unique(equivalent.begin(), equivalent.end()),
-                   equivalent.end());
-  result.equivalent_ids = std::move(equivalent);
-  if (!proven_roots.empty()) {
-    result.representative =
-        *std::min_element(proven_roots.begin(), proven_roots.end());
-  }
-  verify_report.pairs_in = result.candidate_ids.size();
-  verify_report.pairs_out = result.equivalent_ids.size();
-  verify_scope.Finish(&verify_report);
-  result.stages.push_back(std::move(verify_report));
-
-  // The reported latency is the stage sum (prepare included) — the same
-  // convention as GeqoResult::total_seconds, so stage accounting always
-  // explains the whole number.
-  result.seconds = SumStageSeconds(result.stages);
-  if (obs::MetricsEnabled()) {
-    auto& registry = obs::MetricsRegistry::Global();
-    registry.GetCounter("serve.probes").Add(1);
-    registry.GetCounter("serve.verifier_calls").Add(result.verifier_calls);
-    registry.GetCounter("serve.memo_hits").Add(result.memo_hits);
-    registry.GetCounter("serve.class_shortcuts").Add(result.class_shortcuts);
-    registry.GetHistogram("serve.probe_seconds").Observe(result.seconds);
-    UpdateGauges();
-  }
-  return result;
+  return decided > lookups ? decided - lookups : 0;
 }
 
 Result<EquivalenceCatalog::ReadProbeResult> EquivalenceCatalog::ProbeReadOnly(
@@ -411,58 +282,36 @@ Result<EquivalenceCatalog::ReadProbeResult> EquivalenceCatalog::ProbeReadOnly(
       by_class[classes_.Find(id)].push_back(id);
     }
     for (const auto& [root, class_candidates] : by_class) {
-      // Replay the sync path's agenda — root first, then the surviving
-      // members — against the memo only. The first decisive memoized
-      // verdict settles the class; a miss or a detected collision defers
-      // the whole class to the async plane.
+      // The agenda: root first, then the surviving members. A miss defers
+      // the whole class to the async plane, which resumes at the miss.
       std::vector<size_t> agenda;
       agenda.push_back(root);
       for (const size_t id : class_candidates) {
         if (id != root) agenda.push_back(id);
       }
-      std::optional<EquivalenceVerdict> decision;
-      bool needs_verify = false;
-      size_t lookups = 0;
-      for (const size_t id : agenda) {
-        const Entry& entry = entries_[id];
-        const CheckedPair memo_key =
-            MakeCheckedPair(query.canonical_hash, query.check_hash,
-                            entry.canonical_hash, entry.check_hash);
-        const VerifierMemo::LookupOutcome memoized =
-            memo_.Lookup(memo_key.key, memo_key.check);
-        if (memoized.collision) ++result.collisions;
-        if (!memoized.verdict) {
-          needs_verify = true;
-          break;
-        }
-        ++result.memo_hits;
-        ++lookups;
-        if (*memoized.verdict != EquivalenceVerdict::kUnknown) {
-          decision = *memoized.verdict;
-          break;
-        }
-      }
+      const AgendaWalk walk =
+          WalkAgenda(query.canonical_hash, query.check_hash, agenda, 0);
+      result.memo_hits += walk.memo_hits;
+      result.collisions += walk.collisions;
       MatchVerdict match_verdict = MatchVerdict::kLikely;
-      if (needs_verify) {
-        result.pending.push_back(ClassDecision{root, std::move(agenda)});
-      } else if (decision == EquivalenceVerdict::kEquivalent) {
-        match_verdict = MatchVerdict::kProven;
-        proven_roots.push_back(root);
-        const std::vector<size_t> members = ClassMembers(root);
-        result.proven_ids.insert(result.proven_ids.end(), members.begin(),
-                                 members.end());
-        if (members.size() > lookups) {
-          result.class_shortcuts += members.size() - lookups;
-        }
-      } else if (decision == EquivalenceVerdict::kNotEquivalent) {
-        match_verdict = MatchVerdict::kRefuted;
-        if (class_candidates.size() > lookups) {
-          result.class_shortcuts += class_candidates.size() - lookups;
+      if (walk.missed) {
+        result.pending.push_back(ClassDecision{std::move(agenda), walk.stop});
+      } else if (walk.decision) {
+        result.class_shortcuts +=
+            ClassShortcuts(*walk.decision, agenda, walk.memo_hits);
+        if (*walk.decision == EquivalenceVerdict::kEquivalent) {
+          match_verdict = MatchVerdict::kProven;
+          proven_roots.push_back(root);
+          const std::vector<size_t> members = ClassMembers(root);
+          result.proven_ids.insert(result.proven_ids.end(), members.begin(),
+                                   members.end());
+        } else {
+          match_verdict = MatchVerdict::kRefuted;
         }
       }
-      // decision absent with nothing pending: every agenda pair is memoized
-      // kUnknown — the verifier already gave up on this class, so it stays
-      // Likely forever (the async plane would re-derive exactly that).
+      // No decision and no miss: every agenda pair is memoized kUnknown —
+      // the verifier already gave up on this class, so it stays Likely
+      // forever (the async plane would re-derive exactly that).
       for (const size_t id : class_candidates) {
         result.matches.push_back(ProbeMatch{id, match_verdict, score_of[id]});
       }
@@ -484,40 +333,6 @@ Result<EquivalenceCatalog::ReadProbeResult> EquivalenceCatalog::ProbeReadOnly(
   return result;
 }
 
-Result<ProbeAddResult> EquivalenceCatalog::ProbeAdd(const PlanPtr& plan) {
-  GEQO_RETURN_NOT_OK(options_status_);
-  // Span + stage clock at entry, same as Probe: PrepareQuery's cost belongs
-  // to this call's reported latency.
-  obs::Span span("serve.ProbeAdd");
-  StageReport prepare = MakeStage("prepare", true);
-  StageScope prepare_scope("serve.prepare");
-  Result<QueryContext> prepared = PrepareQuery(plan);
-  GEQO_RETURN_NOT_OK(prepared.status());
-  prepare.pairs_in = 1;
-  prepare.pairs_out = 1;
-  prepare_scope.Finish(&prepare);
-  QueryContext query = std::move(*prepared);
-  GEQO_ASSIGN_OR_RETURN(ProbeResult probe,
-                        ProbePrepared(query, std::move(prepare)));
-  // Collect the classes to join before inserting (the new entry's own
-  // singleton class would otherwise show up in the scan).
-  std::set<size_t> roots;
-  for (const size_t id : probe.equivalent_ids) roots.insert(classes_.Find(id));
-  GEQO_ASSIGN_OR_RETURN(const size_t id, AddPrepared(std::move(query)));
-  for (const size_t root : roots) {
-    if (classes_.Union(id, root)) {
-      ++stats_.unions;
-      if (journal_ != nullptr) journal_->OnUnion(0, id, root);
-    }
-  }
-  if (obs::MetricsEnabled()) UpdateGauges();
-  ProbeAddResult result;
-  result.probe = std::move(probe);
-  result.id = id;
-  result.class_id = classes_.Find(id);
-  return result;
-}
-
 Status EquivalenceCatalog::ExportSnapshot(std::ostream& os) const {
   GEQO_RETURN_NOT_OK(options_status_);
   // Buffer the payload so the v2 checksum footer can cover it whole.
@@ -525,8 +340,8 @@ Status EquivalenceCatalog::ExportSnapshot(std::ostream& os) const {
   io::BinaryWriter writer(payload, "catalog snapshot");
   writer.U64(io::kCatalogMagic);
   writer.U64(io::kCatalogVersion);
-  writer.U64(CatalogFingerprint(*db_catalog_));
-  writer.U64(model_->embedding_dim());
+  writer.U64(CatalogFingerprint(*wiring_.db_catalog));
+  writer.U64(wiring_.model->embedding_dim());
   writer.U64(entries_.size());
   for (const Entry& entry : entries_) writer.U64(entry.canonical_hash);
   GEQO_RETURN_NOT_OK(writer.status());
@@ -541,9 +356,7 @@ Status EquivalenceCatalog::ExportSnapshot(std::ostream& os) const {
 }
 
 Result<std::unique_ptr<EquivalenceCatalog>> EquivalenceCatalog::ImportSnapshot(
-    std::istream& is, const Catalog* db_catalog, ml::EmfModel* model,
-    const EncodingLayout* instance_layout,
-    const EncodingLayout* agnostic_layout, ValueRange value_range,
+    std::istream& is, const CatalogComponents& wiring,
     const std::vector<PlanPtr>& plans, CatalogOptions options) {
   // The v2 footer checksums the whole payload: corruption anywhere —
   // including trailing bytes after the end marker — fails here, before any
@@ -569,7 +382,7 @@ Result<std::unique_ptr<EquivalenceCatalog>> EquivalenceCatalog::ImportSnapshot(
   const uint64_t saved_dim = reader.U64();
   const uint64_t count = reader.U64();
   GEQO_RETURN_NOT_OK(reader.status());
-  const uint64_t expected_fingerprint = CatalogFingerprint(*db_catalog);
+  const uint64_t expected_fingerprint = CatalogFingerprint(*wiring.db_catalog);
   if (saved_fingerprint != expected_fingerprint) {
     return Status::InvalidArgument(
         "catalog snapshot: database schema fingerprint mismatch (snapshot " +
@@ -577,11 +390,11 @@ Result<std::unique_ptr<EquivalenceCatalog>> EquivalenceCatalog::ImportSnapshot(
         std::to_string(expected_fingerprint) +
         ") — the snapshot was built against a different catalog");
   }
-  if (saved_dim != model->embedding_dim()) {
+  if (saved_dim != wiring.model->embedding_dim()) {
     return Status::InvalidArgument(
         "catalog snapshot: embedding dim mismatch (snapshot " +
         std::to_string(saved_dim) + ", model " +
-        std::to_string(model->embedding_dim()) + ")");
+        std::to_string(wiring.model->embedding_dim()) + ")");
   }
   if (count != plans.size()) {
     return Status::InvalidArgument(
@@ -593,9 +406,8 @@ Result<std::unique_ptr<EquivalenceCatalog>> EquivalenceCatalog::ImportSnapshot(
   for (auto& hash : hashes) hash = reader.U64();
   GEQO_RETURN_NOT_OK(reader.status());
 
-  auto catalog = std::make_unique<EquivalenceCatalog>(
-      db_catalog, model, instance_layout, agnostic_layout, value_range,
-      options);
+  auto catalog =
+      std::make_unique<EquivalenceCatalog>(wiring, std::move(options));
   GEQO_RETURN_NOT_OK(catalog->options_status_);
   // Re-derive only the cheap per-entry state (signature, instance encoding,
   // the two canonical hashes); embeddings come from the serialized index
@@ -603,7 +415,7 @@ Result<std::unique_ptr<EquivalenceCatalog>> EquivalenceCatalog::ImportSnapshot(
   // re-embedded or re-proved.
   for (size_t i = 0; i < plans.size(); ++i) {
     GEQO_ASSIGN_OR_RETURN(QueryContext query,
-                          catalog->PrepareQuery(plans[i]));
+                          PrepareQuery(wiring, plans[i]));
     if (query.canonical_hash != hashes[i]) {
       return Status::InvalidArgument(
           "catalog snapshot: plan " + std::to_string(i) +

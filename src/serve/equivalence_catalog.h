@@ -10,55 +10,38 @@
 #include "ann/hnsw.h"
 #include "filters/schema_filter.h"
 #include "pipeline/geqo.h"
-#include "serve/persist/journal.h"
 #include "serve/union_find.h"
 #include "serve/verifier_memo.h"
-#include "tensor/kernels/kernel_table.h"
 
 /// \file equivalence_catalog.h
-/// The online serving layer (§1, §7.7): GEqO's motivating deployment is a
-/// stream of incoming subexpressions checked against an ever-growing
-/// repository of cached/materialized views, not a one-shot O(|W|^2) batch.
-/// EquivalenceCatalog turns the batch cascade into that long-lived service:
+/// The per-shard serving engine behind serve::ShardedCatalog
+/// (sharded_catalog.h), the one public serving catalog (§1, §7.7).
+/// GEqO's motivating deployment is a stream of incoming subexpressions
+/// checked against an ever-growing repository of cached/materialized
+/// views, not a one-shot O(|W|^2) batch; one EquivalenceCatalog holds one
+/// shard of that repository:
 ///
-///   - Add(plan) canonicalizes, instance-encodes, embeds through the EMF
-///     trunk (singleton agnostic map, so the embedding never shifts as the
-///     catalog grows), and inserts incrementally into one persistent HNSW
-///     index.
-///   - Probe(plan) runs SF -> VMF -> EMF against only the catalog — the SF
-///     via an incremental signature map, the VMF as a single radius search
-///     of the shared index, the EMF scoring (query, entry) pairs — then
-///     verifies the survivors. Proven pairs fold into a union-find of
-///     equivalence classes, so a later probe that proves equivalence to a
-///     class representative adopts the whole class without re-proving, and
-///     a refutation of the representative rejects the whole class. Verifier
-///     verdicts are memoized by canonical pair fingerprint plus an
-///     independent secondary check-hash pair (a detected collision is a
-///     miss, never a wrong verdict), so repeat verifications across probes
-///     (and across process restarts, via the snapshot) never happen.
-///   - ExportSnapshot/ImportSnapshot persist a versioned binary snapshot —
-///     HNSW graph + stored embeddings, equivalence classes, memo cache —
-///     such that a restarted service replays the remaining probe stream
-///     with bit-identical results and performs no verifier calls for
-///     already-memoized or class-joined pairs. Durable *incremental*
-///     persistence (delta log + compaction + manifest) lives one layer up
-///     in serve::CatalogStore (persist/catalog_store.h), which feeds on the
-///     CatalogJournal mutation hooks this class exposes.
+///   - entries: canonicalized, instance-encoded plans, each embedded once
+///     through the EMF trunk (singleton agnostic map, so the embedding never
+///     shifts as the catalog grows) into one persistent HNSW index;
+///   - the incremental SF signature map, the union-find of proven
+///     equivalence classes, and the verifier memo (canonical pair
+///     fingerprint plus an independent secondary check-hash pair — a
+///     detected collision is a miss, never a wrong verdict).
 ///
-/// Thread-safety: one EquivalenceCatalog is a single-writer object — Probe
-/// mutates the memo, stats, and verifier accounting, and Add mutates the
-/// index and classes. For concurrent serving use serve::ShardedCatalog
-/// (sharded_catalog.h), which routes traffic across many catalogs by SF
-/// signature group, guards each with a reader-writer lock, and moves
-/// verification onto an async background plane; the inference this class
-/// calls into is re-entrant, and its read-only probe path (ProbeReadOnly)
-/// is const and safe under a shared lock.
+/// The engine never calls the verifier. ProbeReadOnly runs SF -> VMF -> EMF
+/// against the shard and classifies each candidate class from the memo and
+/// the classes alone; WalkAgenda is the one memo-first walk over a class's
+/// verification agenda (root first, then the surviving members) that
+/// classification, the async verifier plane, and crash recovery all share.
+/// ShardedCatalog owns locking, global ids, journaling, and verification.
+///
+/// Thread-safety: none of its own. Const members are safe to run
+/// concurrently with each other; mutation (AddWithEmbedding, memo inserts,
+/// unions) needs exclusive access — ShardedCatalog's shard lock provides
+/// both.
 
 namespace geqo::serve {
-
-namespace persist {
-class CatalogStore;
-}  // namespace persist
 
 /// \brief Serving configuration: the filter cascade parameters, reusing the
 /// batch pipeline's options (ablation toggles included).
@@ -68,59 +51,27 @@ struct CatalogOptions {
   Status Validate() const { return pipeline.Validate(); }
 };
 
-/// \brief Cumulative serving counters (session-local; not persisted).
-struct CatalogStats {
-  uint64_t adds = 0;
-  uint64_t probes = 0;
-  uint64_t verifier_calls = 0;    ///< pairwise proofs actually attempted
-  uint64_t memo_hits = 0;         ///< verdicts served from the memo cache
-  uint64_t memo_collisions = 0;   ///< check-pair mismatches treated as misses
-  uint64_t class_shortcuts = 0;   ///< pair verdicts derived via classes
-  uint64_t unions = 0;            ///< class merges performed by ProbeAdd
+/// \brief The non-owned component wiring every serving catalog is built
+/// from; all pointers must outlive the catalog (GeqoSystem::ServeComponents
+/// borrows them from the system).
+struct CatalogComponents {
+  const Catalog* db_catalog = nullptr;
+  ml::EmfModel* model = nullptr;
+  const EncodingLayout* instance_layout = nullptr;
+  const EncodingLayout* agnostic_layout = nullptr;
+  ValueRange value_range;
 };
 
-/// \brief Outcome of one probe.
-struct ProbeResult {
-  /// Entries equivalent to the query: every member of every proven class,
-  /// sorted ascending. With run_verifier disabled this is the filter
-  /// survivors (the batch pipeline's contract for that configuration).
-  std::vector<size_t> equivalent_ids;
-  /// Filter survivors (the verification stage's input), sorted ascending.
-  std::vector<size_t> candidate_ids;
-  /// Smallest proven class representative, if any class was proven.
-  std::optional<size_t> representative;
-  size_t verifier_calls = 0;
-  size_t memo_hits = 0;
-  size_t class_shortcuts = 0;
-  /// Stage accounting in execution order: prepare (canonicalize + sign +
-  /// instance-encode), sf, vmf, emf, verify — the same machinery as
-  /// GeqoResult::stages.
-  std::vector<StageReport> stages;
-  /// Total probe latency, measured from Probe/ProbeAdd entry: defined as
-  /// the sum of the stage seconds (prepare included), mirroring
-  /// GeqoResult::total_seconds, so stage accounting always explains the
-  /// reported latency.
-  double seconds = 0.0;
-};
-
-/// \brief Outcome of ProbeAdd: the probe, plus the new entry's id and the
-/// representative of the class it joined.
-struct ProbeAddResult {
-  ProbeResult probe;
-  size_t id = 0;
-  size_t class_id = 0;
-};
-
-/// \brief Immediate classification of one filter survivor on the async
-/// serving path (see ShardedCatalog): kProven/kRefuted are decided from the
-/// memo and equivalence classes alone; kLikely carries the filter evidence
-/// (EMF score) and — unless the pair is memoized kUnknown — is upgraded
-/// later by the background verifier plane.
+/// \brief Immediate classification of one filter survivor (see
+/// ShardedCatalog): kProven/kRefuted are decided from the memo and
+/// equivalence classes alone; kLikely carries the filter evidence (EMF
+/// score) and — unless the pair is memoized kUnknown — is upgraded later by
+/// the background verifier plane.
 enum class MatchVerdict : uint8_t { kProven = 0, kLikely = 1, kRefuted = 2 };
 
 std::string_view MatchVerdictToString(MatchVerdict verdict);
 
-/// \brief One classified filter survivor of an async probe.
+/// \brief One classified filter survivor of a probe.
 struct ProbeMatch {
   size_t id = 0;  ///< catalog entry id (shard-local or global, per context)
   MatchVerdict verdict = MatchVerdict::kLikely;
@@ -128,31 +79,12 @@ struct ProbeMatch {
   float score = 1.0f;
 };
 
-/// \brief A long-lived, incrementally-updated equivalence catalog.
+/// \brief One shard's entries, index, classes, and memo (see file comment).
 class EquivalenceCatalog {
  public:
-  /// \p db_catalog, \p model, and the layouts must outlive the catalog and
-  /// match the artifacts the model was trained with (GeqoSystem::OpenCatalog
-  /// wires this up). Invalid \p options poison the catalog: every entry
-  /// point returns the validation error.
-  EquivalenceCatalog(const Catalog* db_catalog, ml::EmfModel* model,
-                     const EncodingLayout* instance_layout,
-                     const EncodingLayout* agnostic_layout,
-                     ValueRange value_range,
-                     CatalogOptions options = CatalogOptions());
-
-  /// Registers \p plan as a catalog entry (canonicalize, encode, embed,
-  /// index) without probing; returns its id. Entries added this way stay in
-  /// singleton classes until some ProbeAdd proves them equivalent to
-  /// something.
-  Result<size_t> Add(const PlanPtr& plan);
-
-  /// Runs the cascade for \p plan against the catalog. Mutates only the
-  /// memo cache and counters — the entry set and classes are unchanged.
-  Result<ProbeResult> Probe(const PlanPtr& plan);
-
-  /// Probe, then Add, then join the new entry with every proven class.
-  Result<ProbeAddResult> ProbeAdd(const PlanPtr& plan);
+  /// Invalid \p options poison the catalog: ProbeReadOnly and
+  /// ExportSnapshot return the validation error.
+  EquivalenceCatalog(const CatalogComponents& wiring, CatalogOptions options);
 
   size_t size() const { return entries_.size(); }
   size_t NumClasses() const { return classes_.NumClasses(); }
@@ -161,52 +93,10 @@ class EquivalenceCatalog {
   /// All members of \p id's class, sorted ascending.
   std::vector<size_t> ClassMembers(size_t id) const;
   const PlanPtr& plan(size_t id) const { return entries_[id].plan; }
-  const CatalogStats& stats() const { return stats_; }
   size_t memo_size() const { return memo_.size(); }
-  const CatalogOptions& options() const { return options_; }
-
-  /// Kernel table the catalog's tensor work dispatches through ("scalar",
-  /// "avx2") — process-wide, surfaced here so serving reports and bench
-  /// artifacts can tag their numbers.
-  const char* kernel_isa() const { return kernels::ActiveIsaName(); }
-  /// True when the catalog's HNSW index stores SQ8 codes ("sq8" vs "f32"
-  /// serving mode; resolved at construction or snapshot load).
-  bool index_quantized() const {
-    return index_ != nullptr && index_->quantized();
-  }
-
-  /// Writes the versioned one-shot snapshot ("GEQOCATG"): header (magic,
-  /// version, db-catalog fingerprint, embedding dim), per-entry canonical
-  /// hashes, the HNSW graph + vectors, the equivalence classes, and the
-  /// memo cache. This is an *export* — durable serving state lives in a
-  /// serve::CatalogStore directory; use this for one-shot artifact
-  /// interchange (benches, offline analysis). The old Save(path)/Load(path)
-  /// pairs are gone: opening a store directory is CatalogStore::Open.
-  Status ExportSnapshot(std::ostream& os) const;
-
-  /// Restores an exported snapshot. \p plans must be the catalog's entries
-  /// in Add order (the snapshot stores their canonical hashes, not the
-  /// plans; a serving deployment keeps plan text in its own store). Fails
-  /// loudly on magic/version skew, a different database schema, mismatched
-  /// plans, or a corrupted/truncated stream. The loaded catalog re-derives
-  /// only cheap state (signatures, instance encodings) — embeddings come
-  /// from the snapshot and memoized verdicts are never re-proved.
-  static Result<std::unique_ptr<EquivalenceCatalog>> ImportSnapshot(
-      std::istream& is, const Catalog* db_catalog, ml::EmfModel* model,
-      const EncodingLayout* instance_layout,
-      const EncodingLayout* agnostic_layout, ValueRange value_range,
-      const std::vector<PlanPtr>& plans,
-      CatalogOptions options = CatalogOptions());
-
-  /// Attaches (or detaches, with nullptr) the mutation journal. Hooks fire
-  /// synchronously inside Add/ProbeAdd/verdict bookkeeping, in commit
-  /// order; the journal must outlive the catalog or be detached first.
-  /// Owned by serve::CatalogStore in a durable deployment.
-  void AttachJournal(persist::CatalogJournal* journal) { journal_ = journal; }
 
  private:
   friend class ShardedCatalog;
-  friend class persist::CatalogStore;
 
   struct Entry {
     PlanPtr plan;
@@ -215,7 +105,7 @@ class EquivalenceCatalog {
     EncodedPlan encoded;  ///< instance encoding (embedding lives in the index)
   };
 
-  /// Everything Probe/Add need to know about one incoming plan.
+  /// Everything a probe or an add needs to know about one incoming plan.
   struct QueryContext {
     PlanPtr plan;
     uint64_t canonical_hash = 0;
@@ -224,24 +114,23 @@ class EquivalenceCatalog {
     EncodedPlan encoded;
   };
 
-  /// Filter-cascade output shared by the sync and read-only probe paths.
+  /// Filter-cascade output.
   struct FilterOutcome {
     std::vector<size_t> candidates;  ///< surviving ids, ascending
     std::vector<float> scores;       ///< EMF scores aligned with candidates
   };
 
-  /// One candidate class the read-only probe could not decide from the memo
-  /// alone: the ordered verification agenda (class root first, then the
-  /// surviving members) handed to the async verifier plane, which replays
-  /// exactly the sync path's root-then-members cascade.
+  /// One candidate class the probe could not decide from the memo alone:
+  /// the verification agenda (class root first, then the surviving
+  /// members) handed to the async verifier plane, which resumes the walk
+  /// at \p first_miss — the agenda prefix before it is memoized kUnknown.
   struct ClassDecision {
-    size_t root = 0;
     std::vector<size_t> agenda;
+    size_t first_miss = 0;
   };
 
-  /// Outcome of the const, lock-friendly probe used by ShardedCatalog:
-  /// filters plus memo/class classification, never a verifier call and
-  /// never a state mutation.
+  /// Outcome of the const, lock-friendly probe: filters plus memo/class
+  /// classification, never a verifier call and never a state mutation.
   struct ReadProbeResult {
     std::vector<ProbeMatch> matches;  ///< one per filter survivor, ascending
     std::vector<size_t> proven_ids;   ///< class-expanded, sorted ascending
@@ -253,33 +142,71 @@ class EquivalenceCatalog {
     std::vector<StageReport> stages;  ///< sf, vmf, emf, classify
   };
 
-  Result<QueryContext> PrepareQuery(const PlanPtr& plan) const;
+  /// Where a memo-first walk of a verification agenda stopped.
+  struct AgendaWalk {
+    /// First decisive (kEquivalent / kNotEquivalent) memoized verdict.
+    std::optional<EquivalenceVerdict> decision;
+    /// True when the walk stopped at a pair the memo does not hold.
+    bool missed = false;
+    /// Agenda position of the decisive verdict or of the miss;
+    /// agenda.size() when every pair is memoized kUnknown.
+    size_t stop = 0;
+    size_t memo_hits = 0;
+    size_t collisions = 0;
+  };
+
+  /// Canonicalizes, hashes, signs, and instance-encodes \p plan. Reads only
+  /// the immutable wiring, so it runs with no lock at all.
+  static Result<QueryContext> PrepareQuery(const CatalogComponents& wiring,
+                                           const PlanPtr& plan);
   /// Embeds the prepared query through the EMF trunk (singleton agnostic
-  /// map) — the expensive half of Add, safe to run outside any shard lock.
-  Result<std::vector<float>> EmbedQuery(const QueryContext& query) const;
-  Result<size_t> AddPrepared(QueryContext query);
-  /// Index/bookkeeping half of Add: inserts a pre-computed embedding.
-  Result<size_t> AddWithEmbedding(QueryContext query,
-                                  const std::vector<float>& embedding);
+  /// map) — the expensive half of an add, also lock-free.
+  static Result<std::vector<float>> EmbedQuery(const CatalogComponents& wiring,
+                                               const VmfOptions& vmf,
+                                               const QueryContext& query);
+
+  /// Inserts a prepared entry with its pre-computed embedding; returns the
+  /// new local id.
+  size_t AddWithEmbedding(QueryContext query,
+                          const std::vector<float>& embedding);
   /// Runs SF -> VMF -> EMF, appending the three stage reports to \p stages.
   Result<FilterOutcome> RunFilters(const QueryContext& query,
                                    std::vector<StageReport>* stages) const;
-  Result<ProbeResult> ProbePrepared(const QueryContext& query,
-                                    StageReport prepare);
-  /// Const classification probe for the async serving plane (see
-  /// ReadProbeResult). Safe to call concurrently with other const methods;
-  /// callers must exclude Add (ShardedCatalog's shard lock does).
+  /// Filters plus classification (see ReadProbeResult).
   Result<ReadProbeResult> ProbeReadOnly(const QueryContext& query) const;
-  /// Memo-first verdict for (query, entry \p id); counts into \p result.
-  EquivalenceVerdict VerdictFor(const QueryContext& query, size_t id,
-                                ProbeResult* result);
+  /// The memo-first walk: looks up (query, agenda[i]) for i = \p start...,
+  /// skipping memoized kUnknown, and stops at the first decisive verdict or
+  /// the first miss.
+  AgendaWalk WalkAgenda(uint64_t query_hash, uint64_t query_check,
+                        const std::vector<size_t>& agenda,
+                        size_t start) const;
+  /// Pairs whose verdict a class decision transfers without a lookup:
+  /// class size minus lookups when proven, agenda size minus lookups when
+  /// refuted, none otherwise.
+  size_t ClassShortcuts(EquivalenceVerdict decision,
+                        const std::vector<size_t>& agenda,
+                        size_t lookups) const;
+  CheckedPair MemoKey(uint64_t query_hash, uint64_t query_check,
+                      size_t id) const;
   void UpdateGauges() const;
 
-  const Catalog* db_catalog_;
-  ml::EmfModel* model_;
-  const EncodingLayout* instance_layout_;
-  const EncodingLayout* agnostic_layout_;
-  ValueRange value_range_;
+  /// Writes the GEQOCATG segment ShardedCatalog's GEQOSHRD container
+  /// carries per shard: header (magic, version, db-catalog fingerprint,
+  /// embedding dim), per-entry canonical hashes, the HNSW graph + vectors,
+  /// the equivalence classes, and the memo cache.
+  Status ExportSnapshot(std::ostream& os) const;
+
+  /// Restores a GEQOCATG segment. \p plans must be the shard's entries in
+  /// Add order (the segment stores their canonical hashes, not the plans).
+  /// Fails loudly on magic/version skew, a different database schema,
+  /// mismatched plans, or a corrupted/truncated stream. Only cheap state
+  /// (signatures, instance encodings) is re-derived — embeddings come from
+  /// the segment and memoized verdicts are never re-proved.
+  static Result<std::unique_ptr<EquivalenceCatalog>> ImportSnapshot(
+      std::istream& is, const CatalogComponents& wiring,
+      const std::vector<PlanPtr>& plans, CatalogOptions options);
+
+  CatalogComponents wiring_;
   CatalogOptions options_;
   Status options_status_;  ///< construction-time validation verdict
 
@@ -289,12 +216,6 @@ class EquivalenceCatalog {
   std::unique_ptr<ann::HnswIndex> index_;
   UnionFind classes_;
   VerifierMemo memo_;
-  SpesVerifier verifier_;
-  CatalogStats stats_;
-  /// Mutation journal (delta-log feed); null when not persisted. Hooks run
-  /// with shard 0 / gid == local id — in sharded mode the shard catalogs
-  /// carry no journal and ShardedCatalog journals globally itself.
-  persist::CatalogJournal* journal_ = nullptr;
 };
 
 }  // namespace geqo::serve

@@ -96,9 +96,8 @@ Status DurabilityOptions::Validate() const {
   return Status::OK();
 }
 
-CatalogStore::CatalogStore(std::string dir, StoreKind kind,
-                           DurabilityOptions durability)
-    : dir_(std::move(dir)), kind_(kind), durability_(durability) {}
+CatalogStore::CatalogStore(std::string dir, DurabilityOptions durability)
+    : dir_(std::move(dir)), durability_(durability) {}
 
 CatalogStore::~CatalogStore() {
   const Status status = Close();
@@ -110,25 +109,7 @@ CatalogStore::~CatalogStore() {
 
 Result<std::unique_ptr<CatalogStore>> CatalogStore::Open(
     const std::string& dir, const CatalogComponents& components,
-    const std::vector<PlanPtr>& plans, CatalogOptions catalog_options,
-    DurabilityOptions durability) {
-  return OpenImpl(dir, StoreKind::kSingle, components, plans,
-                  std::move(catalog_options), ShardedCatalogOptions(),
-                  durability);
-}
-
-Result<std::unique_ptr<CatalogStore>> CatalogStore::OpenSharded(
-    const std::string& dir, const CatalogComponents& components,
     const std::vector<PlanPtr>& plans, ShardedCatalogOptions options,
-    DurabilityOptions durability) {
-  return OpenImpl(dir, StoreKind::kSharded, components, plans,
-                  CatalogOptions(), std::move(options), durability);
-}
-
-Result<std::unique_ptr<CatalogStore>> CatalogStore::OpenImpl(
-    const std::string& dir, StoreKind kind,
-    const CatalogComponents& components, const std::vector<PlanPtr>& plans,
-    CatalogOptions catalog_options, ShardedCatalogOptions sharded_options,
     DurabilityOptions durability) {
   obs::Span span("persist.Open");
   GEQO_RETURN_NOT_OK(durability.Validate());
@@ -144,7 +125,7 @@ Result<std::unique_ptr<CatalogStore>> CatalogStore::OpenImpl(
         "catalog store " + dir +
         ": path is a file, not a store directory. One-shot snapshot files "
         "are no longer opened directly — restore them with "
-        "ImportSnapshot and persist by adding into a fresh store "
+        "ImportShardedSnapshot and persist by adding into a fresh store "
         "directory (see serve/persist/catalog_store.h)");
   }
   if (!fs::exists(st)) {
@@ -160,29 +141,18 @@ Result<std::unique_ptr<CatalogStore>> CatalogStore::OpenImpl(
   } else if (!fs::is_directory(st)) {
     return Status::InvalidArgument(
         "catalog store " + dir +
-        " is a regular file, not a store directory — if this is a legacy "
-        "one-shot snapshot (GEQOCATG/GEQOSHRD), restore it with "
-        "ImportCatalogSnapshot/ImportShardedSnapshot and re-save it by "
+        " is not a store directory — if this is a legacy one-shot snapshot "
+        "(GEQOSHRD), restore it with ImportShardedSnapshot and re-save it by "
         "opening a CatalogStore");
   }
 
   Stopwatch recovery_watch;
-  std::unique_ptr<CatalogStore> store(new CatalogStore(dir, kind, durability));
+  std::unique_ptr<CatalogStore> store(new CatalogStore(dir, durability));
   std::vector<std::pair<uint64_t, uint64_t>> pending_pairs;
   if (fs::exists(dir + "/" + ManifestFileName())) {
     GEQO_ASSIGN_OR_RETURN(const ManifestState manifest, ReadManifest(dir));
-    if (manifest.kind != kind) {
-      return Status::InvalidArgument(
-          "catalog store " + dir + " holds a " +
-          (manifest.kind == StoreKind::kSingle ? std::string("single-catalog")
-                                               : std::string("sharded")) +
-          " store; open it with the matching "
-          "CatalogStore::Open/OpenSharded entry point");
-    }
     GEQO_RETURN_NOT_OK(store->Recover(manifest, components, plans,
-                                      std::move(catalog_options),
-                                      std::move(sharded_options),
-                                      &pending_pairs));
+                                      std::move(options), &pending_pairs));
   } else {
     // Fresh store. A crash before the very first manifest publish can
     // leave schema-matching strays (MANIFEST.tmp, an unreferenced first
@@ -207,21 +177,10 @@ Result<std::unique_ptr<CatalogStore>> CatalogStore::OpenImpl(
       std::error_code rm;
       if (fs::remove(stray, rm)) store->gc_files_removed_.fetch_add(1);
     }
-    if (kind == StoreKind::kSingle) {
-      GEQO_RETURN_NOT_OK(catalog_options.Validate());
-      store->single_ = std::make_unique<EquivalenceCatalog>(
-          components.db_catalog, components.model, components.instance_layout,
-          components.agnostic_layout, components.value_range,
-          std::move(catalog_options));
-    } else {
-      GEQO_RETURN_NOT_OK(sharded_options.Validate());
-      store->num_shards_ = sharded_options.num_shards;
-      store->sharded_ = std::make_unique<ShardedCatalog>(
-          components.db_catalog, components.model, components.instance_layout,
-          components.agnostic_layout, components.value_range,
-          std::move(sharded_options));
-    }
-    store->manifest_.kind = kind;
+    GEQO_RETURN_NOT_OK(options.Validate());
+    store->num_shards_ = options.num_shards;
+    store->sharded_ =
+        std::make_unique<ShardedCatalog>(components, std::move(options));
     store->manifest_.num_shards = store->num_shards_;
   }
 
@@ -237,13 +196,15 @@ Result<std::unique_ptr<CatalogStore>> CatalogStore::OpenImpl(
     store->CollectGarbageLocked();
   }
 
-  // Journal first, backlog second: recovered tasks retire through the
-  // normal ProcessTask path, and their verdicts must reach the log.
-  if (kind == StoreKind::kSingle) {
-    store->single_->AttachJournal(store.get());
-  } else {
-    store->sharded_->AttachJournal(store.get());
+  // Compaction worker, then journal, then backlog: appends (which may
+  // schedule a compaction) start only once the journal is attached, and
+  // recovered tasks retire through the normal ProcessTask path, so their
+  // verdicts must reach the log.
+  if (durability.compact_after_records > 0) {
+    store->compact_worker_ =
+        std::thread(&CatalogStore::CompactionWorkerLoop, store.get());
   }
+  store->sharded_->AttachJournal(store.get());
   if (!pending_pairs.empty()) {
     std::vector<std::pair<uint64_t, uint64_t>> kept;
     GEQO_ASSIGN_OR_RETURN(
@@ -258,11 +219,6 @@ Result<std::unique_ptr<CatalogStore>> CatalogStore::OpenImpl(
     }
     store->sharded_->EnqueueRecoveredTasks(std::move(tasks));
   }
-  if (kind == StoreKind::kSharded && durability.background_compaction &&
-      durability.compact_after_records > 0) {
-    store->compact_worker_ =
-        std::thread(&CatalogStore::CompactionWorkerLoop, store.get());
-  }
   store->recovery_seconds_ = recovery_watch.ElapsedSeconds();
   if (obs::MetricsEnabled()) {
     auto& registry = obs::MetricsRegistry::Global();
@@ -276,16 +232,10 @@ Result<std::unique_ptr<CatalogStore>> CatalogStore::OpenImpl(
 
 Status CatalogStore::Recover(
     const ManifestState& manifest, const CatalogComponents& components,
-    const std::vector<PlanPtr>& plans, CatalogOptions catalog_options,
-    ShardedCatalogOptions sharded_options,
+    const std::vector<PlanPtr>& plans, ShardedCatalogOptions options,
     std::vector<std::pair<uint64_t, uint64_t>>* pending_pairs) {
   manifest_ = manifest;
   num_shards_ = manifest.num_shards;
-  if (kind_ == StoreKind::kSingle && num_shards_ != 1) {
-    return Status::InvalidArgument(
-        "catalog store " + dir_ + ": single-catalog manifest names " +
-        std::to_string(num_shards_) + " shards (corrupt store)");
-  }
 
   // The base segment (or a fresh catalog when none was compacted yet).
   if (manifest.base_id != 0) {
@@ -305,41 +255,20 @@ Status CatalogStore::Recover(
     const std::vector<PlanPtr> base_plans(
         plans.begin(),
         plans.begin() + static_cast<size_t>(manifest.base_entry_count));
-    if (kind_ == StoreKind::kSingle) {
-      GEQO_ASSIGN_OR_RETURN(
-          single_, EquivalenceCatalog::ImportSnapshot(
-                       in, components.db_catalog, components.model,
-                       components.instance_layout, components.agnostic_layout,
-                       components.value_range, base_plans,
-                       std::move(catalog_options)));
-    } else {
-      GEQO_ASSIGN_OR_RETURN(
-          sharded_, ShardedCatalog::ImportSnapshot(
-                        in, components.db_catalog, components.model,
-                        components.instance_layout, components.agnostic_layout,
-                        components.value_range, base_plans,
-                        std::move(sharded_options)));
-      if (sharded_->num_shards() != num_shards_) {
-        return Status::InvalidArgument(
-            "catalog store " + dir_ + ": base segment shard count " +
-            std::to_string(sharded_->num_shards()) +
-            " disagrees with the manifest's " + std::to_string(num_shards_) +
-            " (corrupt store)");
-      }
+    GEQO_ASSIGN_OR_RETURN(
+        sharded_, ShardedCatalog::ImportSnapshot(in, components, base_plans,
+                                                 std::move(options)));
+    if (sharded_->num_shards() != num_shards_) {
+      return Status::InvalidArgument(
+          "catalog store " + dir_ + ": base segment shard count " +
+          std::to_string(sharded_->num_shards()) +
+          " disagrees with the manifest's " + std::to_string(num_shards_) +
+          " (corrupt store)");
     }
-  } else if (kind_ == StoreKind::kSingle) {
-    GEQO_RETURN_NOT_OK(catalog_options.Validate());
-    single_ = std::make_unique<EquivalenceCatalog>(
-        components.db_catalog, components.model, components.instance_layout,
-        components.agnostic_layout, components.value_range,
-        std::move(catalog_options));
   } else {
-    sharded_options.num_shards = num_shards_;  // the manifest is the truth
-    GEQO_RETURN_NOT_OK(sharded_options.Validate());
-    sharded_ = std::make_unique<ShardedCatalog>(
-        components.db_catalog, components.model, components.instance_layout,
-        components.agnostic_layout, components.value_range,
-        std::move(sharded_options));
+    options.num_shards = num_shards_;  // the manifest is the truth
+    GEQO_RETURN_NOT_OK(options.Validate());
+    sharded_ = std::make_unique<ShardedCatalog>(components, std::move(options));
   }
 
   // Read every referenced partition: generation order, shard order. A
@@ -404,13 +333,10 @@ Status CatalogStore::Recover(
                    [](const WalRecord& a, const WalRecord& b) {
                      return a.gid < b.gid;
                    });
-  auto live_size = [&] {
-    return kind_ == StoreKind::kSingle ? single_->size() : sharded_->size();
-  };
   size_t cursor = 0;
   for (; cursor < adds.size(); ++cursor) {
     const WalRecord& record = adds[cursor];
-    const size_t size = live_size();
+    const size_t size = sharded_->size();
     if (record.gid < size) {  // already folded into the base, or a dup
       ++wal_records_replayed_;
       continue;
@@ -423,33 +349,14 @@ Status CatalogStore::Recover(
           std::to_string(plans.size()) + " plans were supplied");
     }
     KillPoint("replay-record");
-    if (kind_ == StoreKind::kSingle) {
-      GEQO_ASSIGN_OR_RETURN(const size_t got,
-                            single_->Add(plans[record.gid]));
-      if (got != record.gid) {
-        return Status::Internal("catalog store " + dir_ +
-                                ": replay assigned entry id " +
-                                std::to_string(got) + " where the log says " +
-                                std::to_string(record.gid));
-      }
-      const auto& entry = single_->entries_[got];
-      if (entry.canonical_hash != record.a || entry.check_hash != record.b) {
-        return Status::InvalidArgument(
-            "catalog store " + dir_ + ": replayed entry " +
-            std::to_string(got) +
-            " hashes differ from the logged ones — the supplied plans are "
-            "not the logged stream");
-      }
-    } else {
-      GEQO_ASSIGN_OR_RETURN(
-          const size_t got,
-          sharded_->ReplayAdd(plans[record.gid], record.a, record.b));
-      if (got != record.gid) {
-        return Status::Internal("catalog store " + dir_ +
-                                ": replay assigned entry id " +
-                                std::to_string(got) + " where the log says " +
-                                std::to_string(record.gid));
-      }
+    GEQO_ASSIGN_OR_RETURN(
+        const size_t got,
+        sharded_->ReplayAdd(plans[record.gid], record.a, record.b));
+    if (got != record.gid) {
+      return Status::Internal("catalog store " + dir_ +
+                              ": replay assigned entry id " +
+                              std::to_string(got) + " where the log says " +
+                              std::to_string(record.gid));
     }
     ++wal_records_replayed_;
   }
@@ -458,11 +365,11 @@ Status CatalogStore::Recover(
     replay_dropped_records_ += dropped;
     GEQO_LOG(kWarning) << "catalog store " << dir_
                        << ": add record for entry " << adds[cursor].gid
-                       << " follows a torn-tail gap at id " << live_size()
+                       << " follows a torn-tail gap at id " << sharded_->size()
                        << "; dropping " << dropped
                        << " unreachable add record(s)";
   }
-  const size_t live = live_size();
+  const size_t live = sharded_->size();
 
   // Phase B: verdicts, unions, pendings — per partition in scan order.
   // Each shard's stream is self-consistent (hooks fire under the shard
@@ -484,12 +391,8 @@ Status CatalogStore::Recover(
                                  MemoCheck{record.c, record.d}};
           const auto verdict =
               static_cast<EquivalenceVerdict>(record.verdict);
-          if (kind_ == StoreKind::kSingle) {
-            single_->memo_.Insert(pair.key, pair.check, verdict);
-          } else {
-            GEQO_RETURN_NOT_OK(
-                sharded_->ReplayVerdict(part.shard, pair, verdict));
-          }
+          GEQO_RETURN_NOT_OK(
+              sharded_->ReplayVerdict(part.shard, pair, verdict));
           ++wal_records_replayed_;
           break;
         }
@@ -503,20 +406,11 @@ Status CatalogStore::Recover(
             break;
           }
           KillPoint("replay-record");
-          if (kind_ == StoreKind::kSingle) {
-            single_->classes_.Union(record.a, record.b);
-          } else {
-            GEQO_RETURN_NOT_OK(sharded_->ReplayUnion(record.a, record.b));
-          }
+          GEQO_RETURN_NOT_OK(sharded_->ReplayUnion(record.a, record.b));
           ++wal_records_replayed_;
           break;
         }
         case WalRecordType::kPending: {
-          if (kind_ == StoreKind::kSingle) {
-            return Status::InvalidArgument(
-                part.path +
-                ": pending record in a single-catalog store (corrupt log)");
-          }
           if (record.a >= live || record.b >= live) {
             ++replay_dropped_records_;
             break;
@@ -647,15 +541,6 @@ Status CatalogStore::Checkpoint() {
         .GetHistogram("persist.checkpoint_pause_seconds")
         .Observe(pause);
   }
-  // Inline compaction when there is no background worker (single-catalog
-  // stores and background_compaction = false): the checkpoint caller is
-  // the owner thread, the one context where a single catalog may be
-  // serialized.
-  if (durability_.compact_after_records > 0 &&
-      records_since_base_.load() >= durability_.compact_after_records &&
-      !compact_worker_.joinable()) {
-    GEQO_RETURN_NOT_OK(Compact());
-  }
   return status();
 }
 
@@ -679,19 +564,14 @@ Status CatalogStore::Compact() {
   records_since_base_.store(0);
 
   // Fold the live state into the new base — outside store_mu_, so the
-  // journal hooks (and in sharded mode, serving itself) keep flowing.
+  // journal hooks (and serving itself) keep flowing.
   // Any mutation that lands after the rotation is either captured by
   // this export (it happened before the export's locks) or journaled in
   // the surviving generation (hooks append after applying) — often both,
   // which replay's idempotence absorbs.
   std::ostringstream base_bytes;
   uint64_t entry_count = 0;
-  if (kind_ == StoreKind::kSharded) {
-    GEQO_RETURN_NOT_OK(sharded_->ExportBase(base_bytes, &entry_count));
-  } else {
-    GEQO_RETURN_NOT_OK(single_->ExportSnapshot(base_bytes));
-    entry_count = single_->size();
-  }
+  GEQO_RETURN_NOT_OK(sharded_->ExportBase(base_bytes, &entry_count));
   GEQO_RETURN_NOT_OK(WriteFileDurable(
       dir_ + "/" + BaseSegmentFileName(new_base_id), base_bytes.str()));
   KillPoint("compact-pre-manifest");
@@ -737,7 +617,6 @@ Status CatalogStore::Close() {
   compact_queue_.Close();
   if (compact_worker_.joinable()) compact_worker_.join();
   sharded_.reset();
-  single_.reset();
   {
     MutexLock lock(store_mu_);
     for (const auto& handle : handles_) {
@@ -753,7 +632,6 @@ Status CatalogStore::Close() {
 }
 
 Status CatalogStore::ExportSnapshot(std::ostream& os) const {
-  if (single_ != nullptr) return single_->ExportSnapshot(os);
   if (sharded_ != nullptr) return sharded_->ExportSnapshot(os);
   return Status::InvalidArgument("export on a closed catalog store");
 }
@@ -815,7 +693,6 @@ void CatalogStore::AppendRecord(size_t shard, const WalRecord& record) {
 void CatalogStore::MaybeScheduleCompaction() {
   if (durability_.compact_after_records == 0) return;
   if (records_since_base_.load() < durability_.compact_after_records) return;
-  if (!compact_worker_.joinable()) return;  // inline mode: Checkpoint folds
   if (compaction_scheduled_.exchange(true)) return;
   compact_queue_.Push(0);
 }

@@ -15,7 +15,6 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "common/work_queue.h"
-#include "serve/equivalence_catalog.h"
 #include "serve/persist/journal.h"
 #include "serve/persist/manifest.h"
 #include "serve/persist/wal.h"
@@ -28,12 +27,14 @@
 ///
 ///   MANIFEST            versioned, checksummed root (manifest.h): names
 ///                       the live base segment + the live log generations
-///   base-000007.seg     a GEQOCATG/GEQOSHRD snapshot (the fold of all
-///                       state up to some point)
+///   base-000007.seg     a GEQOSHRD snapshot (the fold of all state up to
+///                       some point)
 ///   wal-000009.s000.log delta-log partitions (wal.h): one per shard per
 ///                       generation, carrying every mutation since the base
 ///
-/// The store attaches itself to the catalog it owns as a CatalogJournal:
+/// The store owns one ShardedCatalog (a one-shard catalog with
+/// verifier_threads = 0 is the synchronous deployment) and attaches itself
+/// to it as a CatalogJournal:
 /// each add / verdict / union / pending-enqueue appends one framed record
 /// to the owning shard's partition at mutation time. Recovery is
 /// manifest-driven: load the base, replay the log tail (truncating a torn
@@ -45,14 +46,11 @@
 ///                 full catalog serialize.
 ///   Compact()     fold base + sealed generations into a new base segment
 ///                 and drop the sealed logs (the M0 -> M1 -> M2 manifest
-///                 walk documented in manifest.h). In sharded mode this
-///                 runs on a background worker once the delta log passes
+///                 walk documented in manifest.h). This also runs on a
+///                 background worker once the delta log passes
 ///                 DurabilityOptions::compact_after_records, without
 ///                 blocking Probe/Add (the export takes shard *shared*
-///                 locks). A single-catalog store is single-writer by
-///                 contract, so it compacts only inline — from Compact()
-///                 or a threshold-crossing Checkpoint() on the owner
-///                 thread.
+///                 locks).
 ///
 /// Journal appends cannot fail the serving path (the mutation is already
 /// applied), so append errors latch: status() reports the first failure,
@@ -74,25 +72,12 @@ struct DurabilityOptions {
   /// fsync each appended record (survives power loss, not just process
   /// death). Implies a disk round-trip per mutation — measure first.
   bool sync_each_append = false;
-  /// Fold the log into a fresh base segment once this many records have
-  /// accumulated since the last base. 0 disables automatic compaction
-  /// (explicit Compact() still works).
+  /// Fold the log into a fresh base segment, on a background worker, once
+  /// this many records have accumulated since the last base. 0 disables
+  /// automatic compaction (explicit Compact() still works).
   size_t compact_after_records = 4096;
-  /// Run threshold compactions on a background worker (sharded stores
-  /// only; a single-catalog store always compacts inline).
-  bool background_compaction = true;
 
   Status Validate() const;
-};
-
-/// \brief The non-owned component wiring every catalog constructor takes;
-/// all pointers must outlive the store.
-struct CatalogComponents {
-  const Catalog* db_catalog = nullptr;
-  ml::EmfModel* model = nullptr;
-  const EncodingLayout* instance_layout = nullptr;
-  const EncodingLayout* agnostic_layout = nullptr;
-  ValueRange value_range;
 };
 
 /// \brief Store-level counters (session-local; stats() snapshots them).
@@ -113,23 +98,16 @@ struct CatalogStoreStats {
 /// log, and the manifest that binds them.
 class CatalogStore final : public CatalogJournal {
  public:
-  /// Opens (or creates) a single-EquivalenceCatalog store at \p dir.
-  /// \p plans must hold every entry ever added, in global Add order — the
-  /// same contract as ImportSnapshot; surplus plans are ignored. Passing a
-  /// path to a legacy one-shot snapshot *file* fails loudly: snapshots are
-  /// imported via EquivalenceCatalog::ImportSnapshot and re-persisted by
-  /// adding into a fresh store.
+  /// Opens (or creates) the store at \p dir. \p plans must hold every
+  /// entry ever added, in global Add order — the same contract as
+  /// ShardedCatalog::ImportSnapshot; surplus plans are ignored. On
+  /// recovery the shard count comes from the manifest (routing must stay
+  /// consistent with the ids already logged); \p options.num_shards
+  /// applies only to a freshly created store. Passing a path to a one-shot
+  /// snapshot *file* fails loudly: snapshots are imported via
+  /// ShardedCatalog::ImportSnapshot and re-persisted by adding into a
+  /// fresh store.
   static Result<std::unique_ptr<CatalogStore>> Open(
-      const std::string& dir, const CatalogComponents& components,
-      const std::vector<PlanPtr>& plans,
-      CatalogOptions catalog_options = CatalogOptions(),
-      DurabilityOptions durability = DurabilityOptions());
-
-  /// Opens (or creates) a ShardedCatalog store. On recovery the shard
-  /// count comes from the manifest (routing must stay consistent with the
-  /// ids already logged); \p options.num_shards applies only to a freshly
-  /// created store.
-  static Result<std::unique_ptr<CatalogStore>> OpenSharded(
       const std::string& dir, const CatalogComponents& components,
       const std::vector<PlanPtr>& plans,
       ShardedCatalogOptions options = ShardedCatalogOptions(),
@@ -140,10 +118,8 @@ class CatalogStore final : public CatalogJournal {
   CatalogStore(const CatalogStore&) = delete;
   CatalogStore& operator=(const CatalogStore&) = delete;
 
-  /// The owned catalog; null after Close() and in the other mode.
-  EquivalenceCatalog* catalog() { return single_.get(); }
+  /// The owned catalog; null after Close().
   ShardedCatalog* sharded() { return sharded_.get(); }
-  bool sharded_mode() const { return kind_ == StoreKind::kSharded; }
   const std::string& dir() const { return dir_; }
 
   /// Durability barrier: fsync every live partition, then rotate to a
@@ -155,20 +131,19 @@ class CatalogStore final : public CatalogJournal {
   Status Checkpoint();
 
   /// Folds the base + sealed log generations into a new base segment and
-  /// drops the sealed logs. Safe to call concurrently with serving in
-  /// sharded mode; in single mode the caller must be the owner thread.
+  /// drops the sealed logs. Safe to call concurrently with serving.
   Status Compact();
 
   /// Stops the background worker, releases the catalog (joining its
   /// verifier pool, so final verdicts still reach the log), syncs and
   /// closes every partition, and returns the first latched error. The
-  /// store is inert afterwards: catalog()/sharded() return null and no
+  /// store is inert afterwards: sharded() returns null and no
   /// further mutation can be journaled. Idempotent. Undrained pending
   /// verifications stay in the log and are re-enqueued by the next Open.
   Status Close();
 
-  /// One-shot export of the owned catalog (GEQOCATG / GEQOSHRD), for
-  /// artifact interchange — the durable state is the directory itself.
+  /// One-shot GEQOSHRD export of the owned catalog, for artifact
+  /// interchange — the durable state is the directory itself.
   Status ExportSnapshot(std::ostream& os) const;
 
   /// First latched background/journal error, or OK.
@@ -203,13 +178,8 @@ class CatalogStore final : public CatalogJournal {
   /// be dropped without losing the verification backlog.
   using PendingKey = std::tuple<uint64_t, uint64_t, uint64_t>;
 
-  CatalogStore(std::string dir, StoreKind kind, DurabilityOptions durability);
+  CatalogStore(std::string dir, DurabilityOptions durability);
 
-  static Result<std::unique_ptr<CatalogStore>> OpenImpl(
-      const std::string& dir, StoreKind kind,
-      const CatalogComponents& components, const std::vector<PlanPtr>& plans,
-      CatalogOptions catalog_options, ShardedCatalogOptions sharded_options,
-      DurabilityOptions durability);
   /// Manifest-driven recovery: base import + log-tail replay (torn tails
   /// truncated, gid gaps dropped loudly). The surviving pending pairs come
   /// back through \p pending_pairs for the caller to rebuild into verify
@@ -217,8 +187,7 @@ class CatalogStore final : public CatalogJournal {
   Status Recover(const ManifestState& manifest,
                  const CatalogComponents& components,
                  const std::vector<PlanPtr>& plans,
-                 CatalogOptions catalog_options,
-                 ShardedCatalogOptions sharded_options,
+                 ShardedCatalogOptions options,
                  std::vector<std::pair<uint64_t, uint64_t>>* pending_pairs);
   /// Creates generation next_file_id (one partition per shard), publishes
   /// the manifest naming it, and swaps the live writers. With \p
@@ -233,14 +202,12 @@ class CatalogStore final : public CatalogJournal {
   void CompactionWorkerLoop();
 
   const std::string dir_;
-  const StoreKind kind_;
   const DurabilityOptions durability_;
   uint64_t num_shards_ = 1;
 
-  // Exactly one of these is set (until Close releases it). Declared
-  // before handles_ so accidental destruction without Close() still
-  // tears down in a safe order via ~CatalogStore's explicit Close().
-  std::unique_ptr<EquivalenceCatalog> single_;
+  // Set until Close releases it. Declared before handles_ so accidental
+  // destruction without Close() still tears down in a safe order via
+  // ~CatalogStore's explicit Close().
   std::unique_ptr<ShardedCatalog> sharded_;
 
   /// Guards manifest_ and rotation/compaction manifest edits. Lock order:
@@ -285,7 +252,6 @@ class CatalogStore final : public CatalogJournal {
 namespace geqo::serve {
 // The store is the serving layer's durability API; let callers spell it
 // serve::CatalogStore without reaching into the persist namespace.
-using persist::CatalogComponents;
 using persist::CatalogStore;
 using persist::CatalogStoreStats;
 using persist::DurabilityOptions;

@@ -67,7 +67,7 @@ Status WriteManifest(const std::string& dir, const ManifestState& state) {
   io::BinaryWriter writer(payload, "catalog store manifest");
   writer.U64(io::kManifestMagic);
   writer.U64(io::kManifestVersion);
-  writer.U64(static_cast<uint64_t>(state.kind));
+  writer.U64(io::kManifestShardedKind);
   writer.U64(state.num_shards);
   writer.U64(state.base_id);
   writer.U64(state.base_entry_count);
@@ -144,13 +144,12 @@ Result<ManifestState> ReadManifest(const std::string& dir) {
   state.next_file_id = reader.U64();
   const uint64_t num_logs = reader.U64();
   GEQO_RETURN_NOT_OK(reader.status());
-  if (kind != static_cast<uint64_t>(StoreKind::kSingle) &&
-      kind != static_cast<uint64_t>(StoreKind::kSharded)) {
-    return Status::InvalidArgument(context + ": unknown store kind " +
-                                   std::to_string(kind) +
-                                   " (corrupt manifest)");
+  if (kind != io::kManifestShardedKind) {
+    return Status::InvalidArgument(
+        context + ": unsupported store kind " + std::to_string(kind) +
+        " (only sharded-catalog stores, kind " +
+        std::to_string(io::kManifestShardedKind) + ", are readable)");
   }
-  state.kind = static_cast<StoreKind>(kind);
   if (state.num_shards == 0 || state.num_shards > kMaxShards) {
     return Status::InvalidArgument(
         context + ": implausible shard count " +

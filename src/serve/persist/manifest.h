@@ -30,12 +30,9 @@
 
 namespace geqo::serve::persist {
 
-/// Store flavor recorded in the manifest — a single EquivalenceCatalog
-/// store and a ShardedCatalog store are not interchangeable.
-enum class StoreKind : uint64_t { kSingle = 1, kSharded = 2 };
-
+/// The decoded manifest. Its store-kind word is always
+/// io::kManifestShardedKind, so it is not a field here.
 struct ManifestState {
-  StoreKind kind = StoreKind::kSingle;
   uint64_t num_shards = 1;        ///< log partitions per generation
   uint64_t base_id = 0;           ///< base segment file id; 0 = no base yet
   uint64_t base_entry_count = 0;  ///< entries folded into the base

@@ -140,16 +140,18 @@ Status ShardedCatalogOptions::Validate() const {
   return Status::OK();
 }
 
-ShardedCatalog::ShardedCatalog(const Catalog* db_catalog, ml::EmfModel* model,
-                               const EncodingLayout* instance_layout,
-                               const EncodingLayout* agnostic_layout,
-                               ValueRange value_range,
+ShardedCatalogOptions ShardedCatalogOptions::Synchronous(
+    const GeqoOptions& pipeline) {
+  ShardedCatalogOptions options;
+  options.catalog.pipeline = pipeline;
+  options.num_shards = 1;
+  options.verifier_threads = 0;
+  return options;
+}
+
+ShardedCatalog::ShardedCatalog(const CatalogComponents& components,
                                ShardedCatalogOptions options)
-    : db_catalog_(db_catalog),
-      model_(model),
-      instance_layout_(instance_layout),
-      agnostic_layout_(agnostic_layout),
-      value_range_(value_range),
+    : wiring_(components),
       options_(std::move(options)),
       options_status_(options_.Validate()),
       queue_(options_.verify_queue_capacity) {
@@ -158,14 +160,10 @@ ShardedCatalog::ShardedCatalog(const Catalog* db_catalog, ml::EmfModel* model,
   for (size_t i = 0; i < options_.num_shards; ++i) {
     auto shard = std::make_unique<Shard>();
     WriterLock lock(shard->mu);  // pre-publication, but keeps TSA unconditional
-    shard->catalog = std::make_unique<EquivalenceCatalog>(
-        db_catalog_, model_, instance_layout_, agnostic_layout_, value_range_,
-        options_.catalog);
+    shard->catalog =
+        std::make_unique<EquivalenceCatalog>(wiring_, options_.catalog);
     shards_.push_back(std::move(shard));
   }
-  prep_ = std::make_unique<EquivalenceCatalog>(
-      db_catalog_, model_, instance_layout_, agnostic_layout_, value_range_,
-      options_.catalog);
   workers_.reserve(options_.verifier_threads);
   for (size_t i = 0; i < options_.verifier_threads; ++i) {
     workers_.emplace_back(&ShardedCatalog::WorkerLoop, this);
@@ -196,21 +194,21 @@ void ShardedCatalog::UpdateQueueGauge() const {
 Result<ShardedCatalog::PreparedAdd> ShardedCatalog::PrepareAdd(
     const PlanPtr& plan) const {
   PreparedAdd out;
-  GEQO_ASSIGN_OR_RETURN(out.query, prep().PrepareQuery(plan));
-  GEQO_ASSIGN_OR_RETURN(out.embedding, prep().EmbedQuery(out.query));
+  GEQO_ASSIGN_OR_RETURN(out.query,
+                        EquivalenceCatalog::PrepareQuery(wiring_, plan));
+  GEQO_ASSIGN_OR_RETURN(
+      out.embedding,
+      EquivalenceCatalog::EmbedQuery(wiring_, options_.catalog.pipeline.vmf,
+                                     out.query));
   return out;
 }
 
-Result<size_t> ShardedCatalog::CommitAdd(PreparedAdd prepared) {
-  const size_t sid = ShardOf(prepared.query.signature);
+size_t ShardedCatalog::InsertLocked(Shard& shard, size_t sid,
+                                    PreparedAdd prepared) {
   const uint64_t canonical_hash = prepared.query.canonical_hash;
   const uint64_t check_hash = prepared.query.check_hash;
-  Shard& shard = *shards_[sid];
-  WriterLock lock(shard.mu);
-  GEQO_ASSIGN_OR_RETURN(
-      const size_t local,
-      shard.catalog->AddWithEmbedding(std::move(prepared.query),
-                                      prepared.embedding));
+  const size_t local = shard.catalog->AddWithEmbedding(
+      std::move(prepared.query), prepared.embedding);
   size_t gid = 0;
   {
     WriterLock map_lock(map_mu_);
@@ -225,7 +223,14 @@ Result<size_t> ShardedCatalog::CommitAdd(PreparedAdd prepared) {
     journal_->OnAdd(sid, gid, canonical_hash, check_hash);
   }
   adds_.fetch_add(1, std::memory_order_relaxed);
-  return gid;
+  return local;
+}
+
+size_t ShardedCatalog::CommitAdd(PreparedAdd prepared) {
+  const size_t sid = ShardOf(prepared.query.signature);
+  Shard& shard = *shards_[sid];
+  WriterLock lock(shard.mu);
+  return shard.to_global[InsertLocked(shard, sid, std::move(prepared))];
 }
 
 Result<size_t> ShardedCatalog::Add(const PlanPtr& plan) {
@@ -256,8 +261,7 @@ Result<std::vector<size_t>> ShardedCatalog::AddBatch(
   std::vector<size_t> ids;
   ids.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    GEQO_ASSIGN_OR_RETURN(const size_t gid, CommitAdd(std::move(*items[i])));
-    ids.push_back(gid);
+    ids.push_back(CommitAdd(std::move(*items[i])));
   }
   return ids;
 }
@@ -301,6 +305,7 @@ std::vector<ShardedCatalog::VerifyTask> ShardedCatalog::BuildPendingTasksLocked(
     task.query_check = query_check;
     task.query_local = query_local;
     task.agenda = std::move(decision.agenda);
+    task.first_miss = decision.first_miss;
     if (query_local != kNoEntry && journal_ != nullptr) {
       const uint64_t query_gid = shard.to_global[query_local];
       task.logged_pairs.reserve(task.agenda.size());
@@ -333,11 +338,12 @@ void ShardedCatalog::EnqueueTasks(std::vector<VerifyTask> tasks) {
 Result<ShardedProbeResult> ShardedCatalog::Probe(const PlanPtr& plan) {
   GEQO_RETURN_NOT_OK(options_status_);
   // Span + stage clock at entry: PrepareQuery's canonicalize/encode cost is
-  // part of the reported probe latency (see ProbeResult::seconds).
+  // part of the reported probe latency (see ShardedProbeResult::seconds).
   obs::Span span("serve.ShardedProbe");
   StageReport prepare = MakeStage("prepare", true);
   StageScope prepare_scope("serve.prepare");
-  Result<EquivalenceCatalog::QueryContext> prepared = prep().PrepareQuery(plan);
+  Result<EquivalenceCatalog::QueryContext> prepared =
+      EquivalenceCatalog::PrepareQuery(wiring_, plan);
   GEQO_RETURN_NOT_OK(prepared.status());
   prepare.pairs_in = 1;
   prepare.pairs_out = 1;
@@ -367,14 +373,7 @@ Result<ShardedProbeResult> ShardedCatalog::Probe(const PlanPtr& plan) {
   // classes will not survive an export or a restart.
   result.probe_only_pending = result.pending_classes;
   EnqueueTasks(std::move(tasks));
-  result.seconds = SumStageSeconds(result.stages);
-  if (obs::MetricsEnabled()) {
-    auto& registry = obs::MetricsRegistry::Global();
-    registry.GetCounter("serve.probes").Add(1);
-    registry.GetCounter("serve.memo_hits").Add(result.memo_hits);
-    registry.GetCounter("serve.pending_classes").Add(result.pending_classes);
-    registry.GetHistogram("serve.probe_seconds").Observe(result.seconds);
-  }
+  FinishProbe(&result);
   return result;
 }
 
@@ -399,7 +398,6 @@ Result<ShardedProbeAddResult> ShardedCatalog::ProbeAdd(const PlanPtr& plan) {
   const uint64_t query_check = prepared->query.check_hash;
   EquivalenceCatalog::ReadProbeResult read;
   std::vector<VerifyTask> tasks;
-  size_t local = 0;
   {
     // Probe + insert + sync unions as one exclusive critical section on the
     // routed shard: the probe's verdicts and the join set stay consistent.
@@ -409,18 +407,8 @@ Result<ShardedProbeAddResult> ShardedCatalog::ProbeAdd(const PlanPtr& plan) {
     for (const size_t id : read.proven_ids) {
       roots.insert(shard.catalog->classes_.Find(id));
     }
-    GEQO_ASSIGN_OR_RETURN(
-        local, shard.catalog->AddWithEmbedding(std::move(prepared->query),
-                                               prepared->embedding));
-    {
-      WriterLock map_lock(map_mu_);
-      result.id = global_map_.size();
-      global_map_.emplace_back(sid, local);
-    }
-    shard.to_global.push_back(result.id);
-    if (journal_ != nullptr) {
-      journal_->OnAdd(sid, result.id, query_hash, query_check);
-    }
+    const size_t local = InsertLocked(shard, sid, std::move(*prepared));
+    result.id = shard.to_global[local];
     for (const size_t root : roots) {
       if (shard.catalog->classes_.Union(local, root) && journal_ != nullptr) {
         journal_->OnUnion(sid, result.id, shard.to_global[root]);
@@ -432,29 +420,30 @@ Result<ShardedProbeAddResult> ShardedCatalog::ProbeAdd(const PlanPtr& plan) {
                                     query_check, local,
                                     std::move(read.pending));
   }
-  adds_.fetch_add(1, std::memory_order_relaxed);
   probes_.fetch_add(1, std::memory_order_relaxed);
   memo_collisions_.fetch_add(read.collisions, std::memory_order_relaxed);
   EnqueueTasks(std::move(tasks));
-  result.probe.seconds = SumStageSeconds(result.probe.stages);
-  if (obs::MetricsEnabled()) {
-    auto& registry = obs::MetricsRegistry::Global();
-    registry.GetCounter("serve.probes").Add(1);
-    registry.GetCounter("serve.memo_hits").Add(result.probe.memo_hits);
-    registry.GetCounter("serve.pending_classes")
-        .Add(result.probe.pending_classes);
-    registry.GetHistogram("serve.probe_seconds").Observe(result.probe.seconds);
-  }
+  FinishProbe(&result.probe);
   return result;
 }
 
+void ShardedCatalog::FinishProbe(ShardedProbeResult* result) const {
+  result->seconds = SumStageSeconds(result->stages);
+  if (!obs::MetricsEnabled()) return;
+  auto& registry = obs::MetricsRegistry::Global();
+  registry.GetCounter("serve.probes").Add(1);
+  registry.GetCounter("serve.memo_hits").Add(result->memo_hits);
+  registry.GetCounter("serve.class_shortcuts").Add(result->class_shortcuts);
+  registry.GetCounter("serve.pending_classes").Add(result->pending_classes);
+  registry.GetHistogram("serve.probe_seconds").Observe(result->seconds);
+}
+
 void ShardedCatalog::WorkerLoop() {
-  const bool idle_proofs =
-      options_.low_priority_verifiers && CanUseIdleProofPriority();
+  const bool idle_proofs = CanUseIdleProofPriority();
   // Each worker owns its verifier: CheckEquivalence mutates per-instance
   // stats, so instances are thread-confined (same rule as the pipeline's
   // per-thread verifiers).
-  SpesVerifier verifier(db_catalog_, options_.catalog.pipeline.verifier);
+  SpesVerifier verifier(wiring_.db_catalog, options_.catalog.pipeline.verifier);
   while (std::optional<VerifyTask> task = queue_.Pop()) {
     ProcessTask(*task, verifier, idle_proofs);
     queue_.TaskDone();
@@ -466,59 +455,66 @@ void ShardedCatalog::ProcessTask(const VerifyTask& task,
                                  SpesVerifier& verifier, bool idle_proofs) {
   Shard& shard = *shards_[task.shard];
   const VerifierStats before = verifier.stats();
-  // Replay the sync path's class-at-a-time cascade: root first, advance
-  // past kUnknown, stop at the first decisive verdict. Memo lookups happen
-  // under the shard's shared lock; actual proofs run with no lock held and
-  // fold back in under a brief unique lock.
+  // Resume the memo-first walk where classification stopped. Lookups run
+  // under the shard's shared lock; each miss is proved with no lock held
+  // and folds back in under a brief unique lock, and a kUnknown moves the
+  // walk on to the next member. Shortcuts follow the class rule with every
+  // agenda pair up to the decisive one counted as a lookup.
   std::optional<EquivalenceVerdict> decision;
-  size_t decided_member = kNoEntry;
-  for (const size_t id : task.agenda) {
+  size_t shortcuts = 0;
+  size_t proofs = 0;
+  size_t pos = task.first_miss;
+  while (pos < task.agenda.size()) {
+    EquivalenceCatalog::AgendaWalk walk;
     CheckedPair memo_key;
     PlanPtr entry_plan;
-    std::optional<EquivalenceVerdict> verdict;
     {
       ReaderLock lock(shard.mu);
-      const auto& entry = shard.catalog->entries_[id];
-      memo_key = MakeCheckedPair(task.query_hash, task.query_check,
-                                 entry.canonical_hash, entry.check_hash);
-      const VerifierMemo::LookupOutcome memoized =
-          shard.catalog->memo_.Lookup(memo_key.key, memo_key.check);
-      if (memoized.collision) {
-        memo_collisions_.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (memoized.verdict) {
-        verdict = memoized.verdict;
-        async_memo_hits_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        entry_plan = entry.plan;
+      walk = shard.catalog->WalkAgenda(task.query_hash, task.query_check,
+                                       task.agenda, pos);
+      if (walk.decision) {
+        shortcuts = shard.catalog->ClassShortcuts(*walk.decision, task.agenda,
+                                                  walk.stop + 1);
+      } else if (walk.missed) {
+        const size_t id = task.agenda[walk.stop];
+        memo_key = shard.catalog->MemoKey(task.query_hash, task.query_check,
+                                          id);
+        entry_plan = shard.catalog->plan(id);
       }
     }
-    if (!verdict) {
-      async_verifier_calls_.fetch_add(1, std::memory_order_relaxed);
-      const EquivalenceVerdict proved = [&] {
-        // Idle priority for the proof only — never across a lock.
-        ScopedIdleSched idle(idle_proofs);
-        return verifier.CheckEquivalence(task.query_plan, entry_plan);
-      }();
-      WriterLock lock(shard.mu);
-      shard.catalog->memo_.Insert(memo_key.key, memo_key.check, proved);
-      if (journal_ != nullptr) {
-        journal_->OnVerdict(task.shard, memo_key.key.lo, memo_key.key.hi,
-                            memo_key.check.lo, memo_key.check.hi,
-                            static_cast<uint8_t>(proved));
-      }
-      verdict = proved;
-    }
-    if (*verdict != EquivalenceVerdict::kUnknown) {
-      decision = verdict;
-      decided_member = id;
+    async_memo_hits_.fetch_add(walk.memo_hits, std::memory_order_relaxed);
+    memo_collisions_.fetch_add(walk.collisions, std::memory_order_relaxed);
+    pos = walk.stop;
+    if (!walk.missed) {
+      decision = walk.decision;
       break;
     }
+    async_verifier_calls_.fetch_add(1, std::memory_order_relaxed);
+    ++proofs;
+    const EquivalenceVerdict proved = [&] {
+      // Idle priority for the proof only — never across a lock.
+      ScopedIdleSched idle(idle_proofs);
+      return verifier.CheckEquivalence(task.query_plan, entry_plan);
+    }();
+    WriterLock lock(shard.mu);
+    shard.catalog->memo_.Insert(memo_key.key, memo_key.check, proved);
+    if (journal_ != nullptr) {
+      journal_->OnVerdict(task.shard, memo_key.key.lo, memo_key.key.hi,
+                          memo_key.check.lo, memo_key.check.hi,
+                          static_cast<uint8_t>(proved));
+    }
+    if (proved != EquivalenceVerdict::kUnknown) {
+      decision = proved;
+      shortcuts = shard.catalog->ClassShortcuts(proved, task.agenda, pos + 1);
+      break;
+    }
+    ++pos;
   }
   if (decision == EquivalenceVerdict::kEquivalent &&
       task.query_local != kNoEntry) {
     // The query is itself an entry (ProbeAdd): fold the proof into the
     // shard's class forest, upgrading what later probes see.
+    const size_t decided_member = task.agenda[pos];
     WriterLock lock(shard.mu);
     if (shard.catalog->classes_.Union(task.query_local, decided_member)) {
       async_unions_.fetch_add(1, std::memory_order_relaxed);
@@ -528,6 +524,7 @@ void ShardedCatalog::ProcessTask(const VerifyTask& task,
       }
     }
   }
+  async_class_shortcuts_.fetch_add(shortcuts, std::memory_order_relaxed);
   // The task is fully applied: its journaled pending pairs are no longer
   // outstanding (the store stops re-logging them at the next rotation).
   if (journal_ != nullptr) {
@@ -539,6 +536,8 @@ void ShardedCatalog::ProcessTask(const VerifyTask& task,
   if (obs::MetricsEnabled()) {
     auto& registry = obs::MetricsRegistry::Global();
     registry.GetCounter("serve.verify_tasks").Add(1);
+    registry.GetCounter("serve.verifier_calls").Add(proofs);
+    registry.GetCounter("serve.class_shortcuts").Add(shortcuts);
     registry.GetHistogram("serve.verify_lag_seconds")
         .Observe(task.enqueued.ElapsedSeconds());
     FoldVerifierStatsToMetrics(verifier.stats().DeltaSince(before));
@@ -556,12 +555,12 @@ void ShardedCatalog::DrainPendingVerifications() {
   MutexLock drain_lock(drain_mu_);
   if (!drain_verifier_) {
     drain_verifier_ = std::make_unique<SpesVerifier>(
-        db_catalog_, options_.catalog.pipeline.verifier);
+        wiring_.db_catalog, options_.catalog.pipeline.verifier);
   }
   while (queue_.size() > 0) {
     std::optional<VerifyTask> task = queue_.Pop();
     if (!task) break;
-    ProcessTask(*task, *drain_verifier_);
+    ProcessTask(*task, *drain_verifier_, /*idle_proofs=*/false);
     queue_.TaskDone();
   }
   UpdateQueueGauge();
@@ -642,6 +641,8 @@ ShardedCatalogStats ShardedCatalog::stats() const {
       async_verifier_calls_.load(std::memory_order_relaxed);
   out.async_memo_hits = async_memo_hits_.load(std::memory_order_relaxed);
   out.async_unions = async_unions_.load(std::memory_order_relaxed);
+  out.async_class_shortcuts =
+      async_class_shortcuts_.load(std::memory_order_relaxed);
   out.memo_collisions = memo_collisions_.load(std::memory_order_relaxed);
   out.dropped_probe_tasks =
       dropped_probe_tasks_.load(std::memory_order_relaxed);
@@ -744,9 +745,7 @@ Status ShardedCatalog::ExportBase(std::ostream& os,
 }
 
 Result<std::unique_ptr<ShardedCatalog>> ShardedCatalog::ImportSnapshot(
-    std::istream& is, const Catalog* db_catalog, ml::EmfModel* model,
-    const EncodingLayout* instance_layout,
-    const EncodingLayout* agnostic_layout, ValueRange value_range,
+    std::istream& is, const CatalogComponents& components,
     const std::vector<PlanPtr>& plans, ShardedCatalogOptions options) {
   GEQO_ASSIGN_OR_RETURN(const std::string payload,
                         io::ReadChecksummed(is, "sharded catalog snapshot"));
@@ -794,9 +793,7 @@ Result<std::unique_ptr<ShardedCatalog>> ShardedCatalog::ImportSnapshot(
   // Routing must stay consistent with the ids already assigned, so the
   // shard count is adopted from the snapshot regardless of the option.
   options.num_shards = num_shards;
-  auto catalog = std::make_unique<ShardedCatalog>(
-      db_catalog, model, instance_layout, agnostic_layout, value_range,
-      options);
+  auto catalog = std::make_unique<ShardedCatalog>(components, options);
   GEQO_RETURN_NOT_OK(catalog->options_status_);
 
   // Split the global plan list into per-shard lists (local order == global
@@ -828,9 +825,8 @@ Result<std::unique_ptr<ShardedCatalog>> ShardedCatalog::ImportSnapshot(
     GEQO_RETURN_NOT_OK(reader.status());
     std::istringstream segment_stream(segment);
     Result<std::unique_ptr<EquivalenceCatalog>> loaded =
-        EquivalenceCatalog::ImportSnapshot(
-            segment_stream, db_catalog, model, instance_layout,
-            agnostic_layout, value_range, shard_plans[sid], options.catalog);
+        EquivalenceCatalog::ImportSnapshot(segment_stream, components,
+                                           shard_plans[sid], options.catalog);
     if (!loaded.ok()) {
       return Status(loaded.status().code(), "sharded catalog snapshot: shard " +
                                                 std::to_string(sid) + ": " +
@@ -1015,36 +1011,17 @@ ShardedCatalog::BuildRecoveredTasks(
     }
     const auto& query_entry = shard.catalog->entries_[query_local];
     for (auto& [root, locals] : by_root) {
-      // Rebuild the sync path's agenda: current root first, then the
-      // members ascending; walk it memo-first exactly like ProbeReadOnly.
+      // Rebuild the class agenda — current root first, then the members
+      // ascending — and walk it memo-first like a probe would.
       std::sort(locals.begin(), locals.end());
       std::vector<size_t> agenda;
       agenda.push_back(root);
       for (const size_t member : locals) {
         if (member != root) agenda.push_back(member);
       }
-      std::optional<EquivalenceVerdict> decision;
-      size_t decided_member = kNoEntry;
-      bool needs_verify = false;
-      for (const size_t id : agenda) {
-        const auto& entry = shard.catalog->entries_[id];
-        const CheckedPair memo_key =
-            MakeCheckedPair(query_entry.canonical_hash,
-                            query_entry.check_hash, entry.canonical_hash,
-                            entry.check_hash);
-        const VerifierMemo::LookupOutcome memoized =
-            shard.catalog->memo_.Lookup(memo_key.key, memo_key.check);
-        if (!memoized.verdict) {
-          needs_verify = true;
-          break;
-        }
-        if (*memoized.verdict != EquivalenceVerdict::kUnknown) {
-          decision = *memoized.verdict;
-          decided_member = id;
-          break;
-        }
-      }
-      if (needs_verify) {
+      const EquivalenceCatalog::AgendaWalk walk = shard.catalog->WalkAgenda(
+          query_entry.canonical_hash, query_entry.check_hash, agenda, 0);
+      if (walk.missed) {
         VerifyTask task;
         task.shard = sid;
         task.query_plan = query_entry.plan;
@@ -1052,17 +1029,18 @@ ShardedCatalog::BuildRecoveredTasks(
         task.query_check = query_entry.check_hash;
         task.query_local = query_local;
         task.agenda = std::move(agenda);
+        task.first_miss = walk.stop;
         task.logged_pairs.reserve(task.agenda.size());
         for (const size_t member : task.agenda) {
           task.logged_pairs.emplace_back(query_gid, shard.to_global[member]);
           kept->push_back(task.logged_pairs.back());
         }
         tasks.push_back(std::move(task));
-      } else if (decision == EquivalenceVerdict::kEquivalent) {
+      } else if (walk.decision == EquivalenceVerdict::kEquivalent) {
         // The log holds the decisive verdict but the crash landed before
         // the union record: fold the proof in now — exactly what
         // ProcessTask would have done on its first memo hit.
-        shard.catalog->classes_.Union(query_local, decided_member);
+        shard.catalog->classes_.Union(query_local, agenda[walk.stop]);
       }
       // kNotEquivalent / all-kUnknown: the class is settled; drop.
     }
@@ -1079,6 +1057,48 @@ void ShardedCatalog::EnqueueRecoveredTasks(std::vector<VerifyTask> tasks) {
     }
   }
   UpdateQueueGauge();
+}
+
+namespace {
+
+/// Shared body of ProbeAndDrain/ProbeAddAndDrain: \p call runs the probe
+/// into the result; the drain and the plane's stats() delta follow.
+template <typename Call>
+Result<VerifiedProbe> StepAndDrain(ShardedCatalog& catalog, Call call) {
+  const ShardedCatalogStats before = catalog.stats();
+  VerifiedProbe out;
+  GEQO_RETURN_NOT_OK(call(&out));
+  Stopwatch drain;
+  catalog.DrainPendingVerifications();
+  out.drain_seconds = drain.ElapsedSeconds();
+  const ShardedCatalogStats after = catalog.stats();
+  out.verifier_calls = after.async_verifier_calls - before.async_verifier_calls;
+  out.memo_hits =
+      out.probe.memo_hits + (after.async_memo_hits - before.async_memo_hits);
+  out.class_shortcuts =
+      out.probe.class_shortcuts +
+      (after.async_class_shortcuts - before.async_class_shortcuts);
+  return out;
+}
+
+}  // namespace
+
+Result<VerifiedProbe> ProbeAndDrain(ShardedCatalog& catalog,
+                                    const PlanPtr& plan) {
+  return StepAndDrain(catalog, [&](VerifiedProbe* out) -> Status {
+    GEQO_ASSIGN_OR_RETURN(out->probe, catalog.Probe(plan));
+    return Status::OK();
+  });
+}
+
+Result<VerifiedProbe> ProbeAddAndDrain(ShardedCatalog& catalog,
+                                       const PlanPtr& plan) {
+  return StepAndDrain(catalog, [&](VerifiedProbe* out) -> Status {
+    GEQO_ASSIGN_OR_RETURN(ShardedProbeAddResult result, catalog.ProbeAdd(plan));
+    out->probe = std::move(result.probe);
+    out->id = result.id;
+    return Status::OK();
+  });
 }
 
 }  // namespace geqo::serve

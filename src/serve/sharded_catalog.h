@@ -13,12 +13,18 @@
 #include "common/thread_annotations.h"
 #include "common/work_queue.h"
 #include "serve/equivalence_catalog.h"
+#include "serve/persist/journal.h"
 
 /// \file sharded_catalog.h
-/// Concurrent serving (§7.7 at scale): a ShardedCatalog partitions one
-/// logical equivalence catalog across N EquivalenceCatalog shards routed by
+/// The serving catalog (§7.7): a ShardedCatalog partitions one logical
+/// equivalence catalog across N >= 1 EquivalenceCatalog shards routed by
 /// SF signature, and moves verification off the probe path onto an async
-/// background plane.
+/// background plane. It is the only public serving catalog: a caller that
+/// wants the classic synchronous contract — each ProbeAdd verified before
+/// the next — opens one shard with verifier_threads = 0 and calls
+/// DrainPendingVerifications() after each ProbeAdd — the
+/// ShardedCatalogOptions::Synchronous() deployment, stepped by
+/// ProbeAddAndDrain (serving_demo and bench_serve do exactly that).
 ///
 /// Why sharding by SF signature is complete: two equivalent subexpressions
 /// necessarily scan the same table set and return the same output arity
@@ -34,7 +40,9 @@
 ///     filter-plus-classification pass that never calls the verifier and
 ///     never mutates — so probes of one shard proceed concurrently with
 ///     each other and block only behind that shard's brief Add critical
-///     section, never behind verification.
+///     section, never behind verification. Preparation (canonicalize,
+///     encode, embed) reads only the immutable component wiring and runs
+///     with no lock at all.
 ///   - Add/ProbeAdd prepare and embed OUTSIDE any lock (the expensive part),
 ///     then take the shard's unique lock only for the index insert and
 ///     bookkeeping. AddBatch fans the prepare/embed work through the global
@@ -46,8 +54,11 @@
 ///     a WorkQueue; a pool of background verifier threads — each owning its
 ///     own SpesVerifier — drains them, memoizes the verdicts, and folds
 ///     proofs into the owning shard's union-find, upgrading what a later
-///     probe of the same pair will see. DrainPendingVerifications() is the
-///     barrier that makes "no lost async verdicts" testable.
+///     probe of the same pair will see. Classification, the plane, and
+///     recovery walk a class's agenda through the same memo-first walk
+///     (EquivalenceCatalog::WalkAgenda); the plane resumes where
+///     classification stopped. DrainPendingVerifications() is the barrier
+///     that makes "no lost async verdicts" testable.
 ///   - With verifier_threads == 0 the plane is *deferred*: tasks queue up
 ///     and DrainPendingVerifications() processes them inline on the caller.
 ///     Deterministic by construction — the mode the replay tests and the
@@ -67,9 +78,13 @@
 /// (persist/catalog_store.h), fed by the CatalogJournal hooks: this class
 /// journals its own mutations with *global* ids under the owning shard's
 /// lock, so each shard's log partition is a self-consistent mutation
-/// stream.
+/// stream. The shard catalogs themselves carry no journal.
 
 namespace geqo::serve {
+
+namespace persist {
+class CatalogStore;
+}  // namespace persist
 
 /// \brief Configuration of a sharded serving deployment.
 struct ShardedCatalogOptions {
@@ -84,16 +99,13 @@ struct ShardedCatalogOptions {
   /// Requires verifier_threads > 0 — a bounded queue with no consumer would
   /// deadlock the producer.
   size_t verify_queue_capacity = 0;
-  /// Run background proof computation at idle scheduling priority
-  /// (SCHED_IDLE on Linux; no-op elsewhere) so proof work never
-  /// time-slices against foreground Probe/Add clients when cores are
-  /// scarce. The demotion is scoped to the lock-free verifier call — shard
-  /// locks are always taken at normal priority (no priority inversion) —
-  /// and engages only when the worker is guaranteed to be able to leave
-  /// SCHED_IDLE again (CAP_SYS_NICE or RLIMIT_NICE >= 20).
-  bool low_priority_verifiers = true;
 
   Status Validate() const;
+
+  /// The synchronous deployment: one shard, no background verifier
+  /// threads, \p pipeline for the filter cascade. Drive it through
+  /// ProbeAndDrain / ProbeAddAndDrain.
+  static ShardedCatalogOptions Synchronous(const GeqoOptions& pipeline);
 };
 
 /// \brief Monotonic serving counters, aggregated across shards and the
@@ -106,6 +118,8 @@ struct ShardedCatalogStats {
   uint64_t async_verifier_calls = 0;  ///< proofs attempted by the plane
   uint64_t async_memo_hits = 0;       ///< plane tasks settled from the memo
   uint64_t async_unions = 0;          ///< class merges folded by the plane
+  /// Pair verdicts the plane derived via classes instead of lookups.
+  uint64_t async_class_shortcuts = 0;
   uint64_t memo_collisions = 0;       ///< check-pair mismatches (all paths)
   uint64_t dropped_probe_tasks = 0;   ///< probe-only tasks dropped at Save
 };
@@ -132,8 +146,9 @@ struct ShardedProbeResult {
   size_t probe_only_pending = 0;
   /// prepare + the shard's sf/vmf/emf/classify stages (tagged with shard).
   std::vector<StageReport> stages;
-  /// Stage-sum latency, measured from Probe entry (same convention as
-  /// ProbeResult::seconds).
+  /// Total probe latency, measured from Probe entry: the sum of the stage
+  /// seconds (prepare included), mirroring GeqoResult::total_seconds, so
+  /// stage accounting always explains the reported latency.
   double seconds = 0.0;
 };
 
@@ -147,13 +162,14 @@ struct ShardedProbeAddResult {
 /// async verification plane.
 class ShardedCatalog {
  public:
-  /// Component lifetime contract matches EquivalenceCatalog: \p db_catalog,
-  /// \p model, and the layouts must outlive this object. Background
-  /// verifier threads start immediately (when verifier_threads > 0).
-  ShardedCatalog(const Catalog* db_catalog, ml::EmfModel* model,
-                 const EncodingLayout* instance_layout,
-                 const EncodingLayout* agnostic_layout, ValueRange value_range,
-                 ShardedCatalogOptions options = ShardedCatalogOptions());
+  /// \p components' pointees must outlive this object and match the
+  /// artifacts the model was trained with (GeqoSystem::OpenShardedCatalog
+  /// wires this up). Background verifier threads start immediately (when
+  /// verifier_threads > 0). Invalid \p options poison the catalog: every
+  /// entry point returns the validation error.
+  explicit ShardedCatalog(
+      const CatalogComponents& components,
+      ShardedCatalogOptions options = ShardedCatalogOptions());
   /// Closes the verify queue and joins the worker pool. Pending tasks that
   /// were not drained are discarded — Save first if they matter.
   ~ShardedCatalog();
@@ -215,15 +231,13 @@ class ShardedCatalog {
   Status ExportSnapshot(std::ostream& os) const;
 
   /// Restores a GEQOSHRD export. \p plans must be all entries in global Add
-  /// order (the same contract as EquivalenceCatalog::ImportSnapshot). The
+  /// order (the snapshot stores their canonical hashes, not the plans). The
   /// shard count is adopted from the snapshot (routing must stay consistent
   /// with the ids already assigned); \p options.num_shards is ignored. The
   /// pending-verification tail is re-enqueued, ready for the worker pool or
   /// a DrainPendingVerifications call.
   static Result<std::unique_ptr<ShardedCatalog>> ImportSnapshot(
-      std::istream& is, const Catalog* db_catalog, ml::EmfModel* model,
-      const EncodingLayout* instance_layout,
-      const EncodingLayout* agnostic_layout, ValueRange value_range,
+      std::istream& is, const CatalogComponents& components,
       const std::vector<PlanPtr>& plans,
       ShardedCatalogOptions options = ShardedCatalogOptions());
 
@@ -247,9 +261,11 @@ class ShardedCatalog {
     /// The query's own local id when it was ProbeAdd'ed (async proofs then
     /// union it into the proven class); kNoEntry for plain probes.
     size_t query_local = kNoEntry;
-    /// Shard-local verification agenda, class root first — replayed exactly
-    /// like the sync path's class-at-a-time cascade.
+    /// Shard-local verification agenda, class root first — the
+    /// class-at-a-time cascade, walked memo-first from \p first_miss (the
+    /// prefix before it was memoized kUnknown when the task was built).
     std::vector<size_t> agenda;
+    size_t first_miss = 0;
     /// The (query gid, member gid) pending pairs journaled for this task;
     /// ProcessTask reports them resolved when the task retires. Empty for
     /// probe-only tasks and when no journal is attached.
@@ -280,14 +296,17 @@ class ShardedCatalog {
   class AllShardsReadLock;
 
   size_t ShardOf(const SfSignature& signature) const;
-  /// A dedicated never-mutated catalog used for lock-free const
-  /// preparation work (PrepareQuery/EmbedQuery touch only immutable
-  /// wiring). Historically this returned shard 0's live catalog — an
-  /// unlocked read of a guarded member that raced shard-0 inserts.
-  const EquivalenceCatalog& prep() const { return *prep_; }
+  /// Lock-free preparation + embedding over the shared wiring.
   Result<PreparedAdd> PrepareAdd(const PlanPtr& plan) const;
+  /// Inserts into \p shard (index, classes, global map) and journals the
+  /// add; returns the new shard-local id. The caller holds the shard's
+  /// unique lock.
+  size_t InsertLocked(Shard& shard, size_t sid, PreparedAdd prepared)
+      GEQO_REQUIRES(shard.mu);
   /// Insert under the shard's unique lock; returns the new global id.
-  Result<size_t> CommitAdd(PreparedAdd prepared);
+  size_t CommitAdd(PreparedAdd prepared);
+  /// Sets the stage-sum latency and records the probe's serve.* metrics.
+  void FinishProbe(ShardedProbeResult* result) const;
   /// Rewrites a shard-local ReadProbeResult into \p out with global ids and
   /// shard-tagged stages; the caller must hold \p shard's lock (shared or
   /// unique) so to_global is stable.
@@ -321,9 +340,9 @@ class ShardedCatalog {
   Status ReplayUnion(uint64_t a_gid, uint64_t b_gid);
   /// and rebuilds the async backlog from recovered (query gid, member gid)
   /// pending pairs: pairs are grouped per query by current class root and
-  /// walked memo-first exactly like ProbeReadOnly — a memoized kEquivalent
-  /// applies its union and the class is dropped, an all-kUnknown agenda is
-  /// dropped, any memo miss keeps the whole class as one VerifyTask. The
+  /// walked memo-first (WalkAgenda) — a memoized kEquivalent applies its
+  /// union and the class is dropped, an all-kUnknown agenda is dropped,
+  /// any memo miss keeps the whole class as one VerifyTask. The
   /// pairs of kept tasks come back through \p kept (the store re-logs
   /// them); EnqueueRecoveredTasks pushes without journaling.
   Result<std::vector<VerifyTask>> BuildRecoveredTasks(
@@ -346,26 +365,20 @@ class ShardedCatalog {
                              const std::vector<VerifyTask>* pending) const
       GEQO_NO_THREAD_SAFETY_ANALYSIS;
   void WorkerLoop();
-  /// Applies one task: memo-first agenda replay, verifier calls outside any
-  /// lock, memo insert + union under the shard's unique lock.
-  /// \p idle_proofs runs the (lock-free) proof at idle scheduling priority;
-  /// shard locks are always taken at the caller's normal priority.
+  /// Applies one task: the memo-first agenda walk from task.first_miss,
+  /// verifier calls outside any lock, memo insert + union under the
+  /// shard's unique lock. \p idle_proofs runs the (lock-free) proof at
+  /// idle scheduling priority; shard locks are always taken at the
+  /// caller's normal priority.
   void ProcessTask(const VerifyTask& task, SpesVerifier& verifier,
-                   bool idle_proofs = false);
+                   bool idle_proofs);
   void UpdateQueueGauge() const;
 
-  const Catalog* db_catalog_;
-  ml::EmfModel* model_;
-  const EncodingLayout* instance_layout_;
-  const EncodingLayout* agnostic_layout_;
-  ValueRange value_range_;
+  const CatalogComponents wiring_;
   ShardedCatalogOptions options_;
   Status options_status_;
 
   std::vector<std::unique_ptr<Shard>> shards_;
-  /// The prepare/embed catalog behind prep(): constructed once, never
-  /// mutated, so PrepareQuery/EmbedQuery run with no lock at all.
-  std::unique_ptr<EquivalenceCatalog> prep_;
 
   /// Guards global_map_. Lock order: shard.mu before map_mu_ (ranks kShard
   /// < kCatalogMap); never acquire a shard lock while holding map_mu_.
@@ -388,6 +401,7 @@ class ShardedCatalog {
   std::atomic<uint64_t> async_verifier_calls_{0};
   std::atomic<uint64_t> async_memo_hits_{0};
   std::atomic<uint64_t> async_unions_{0};
+  std::atomic<uint64_t> async_class_shortcuts_{0};
   std::atomic<uint64_t> memo_collisions_{0};
   mutable std::atomic<uint64_t> dropped_probe_tasks_{0};
 
@@ -395,5 +409,27 @@ class ShardedCatalog {
   /// before concurrent use (AttachJournal is not thread-safe).
   persist::CatalogJournal* journal_ = nullptr;
 };
+
+/// \brief One synchronous serving step: a Probe or ProbeAdd and the drain
+/// that settles it, with the verification work the step cost.
+struct VerifiedProbe {
+  ShardedProbeResult probe;
+  size_t id = 0;  ///< the new entry's global id (ProbeAdd only)
+  /// Proofs the drained plane ran for this step.
+  size_t verifier_calls = 0;
+  /// The probe's own memo hits and class shortcuts plus the plane's.
+  size_t memo_hits = 0;
+  size_t class_shortcuts = 0;
+  double drain_seconds = 0.0;  ///< wall time of the drain
+};
+
+/// Probe (or ProbeAdd) \p plan, then DrainPendingVerifications(): on a
+/// Synchronous() catalog this is the classic contract, each query verified
+/// before the next. The work is read from stats() deltas, so it is exact
+/// only while no other thread drives \p catalog.
+Result<VerifiedProbe> ProbeAndDrain(ShardedCatalog& catalog,
+                                    const PlanPtr& plan);
+Result<VerifiedProbe> ProbeAddAndDrain(ShardedCatalog& catalog,
+                                       const PlanPtr& plan);
 
 }  // namespace geqo::serve

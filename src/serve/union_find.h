@@ -22,6 +22,7 @@ class UnionFind {
   /// Registers the next element as its own singleton class; returns its id.
   size_t Add() {
     parent_.push_back(parent_.size());
+    class_size_.push_back(1);
     ++num_classes_;
     return parent_.size() - 1;
   }
@@ -46,12 +47,15 @@ class UnionFind {
     if (a == b) return false;
     if (b < a) std::swap(a, b);
     parent_[b] = a;
+    class_size_[a] += class_size_[b];
     --num_classes_;
     return true;
   }
 
   size_t size() const { return parent_.size(); }
   size_t NumClasses() const { return num_classes_; }
+  /// Number of members in \p x's class — O(path), no scan of the elements.
+  size_t ClassSize(size_t x) const { return class_size_[Find(x)]; }
 
   /// Fully-compressed parent array (parent[i] == Find(i)): the canonical
   /// serialized form, independent of the merge/lookup history that shaped
@@ -79,10 +83,13 @@ class UnionFind {
       }
     }
     size_t roots = 0;
+    std::vector<size_t> class_size(parents.size(), 0);
     for (size_t i = 0; i < parents.size(); ++i) {
       if (parents[i] == i) ++roots;
+      ++class_size[parents[i]];
     }
     parent_ = std::move(parents);
+    class_size_ = std::move(class_size);
     num_classes_ = roots;
     return Status::OK();
   }
@@ -99,6 +106,7 @@ class UnionFind {
   }
 
   std::vector<size_t> parent_;
+  std::vector<size_t> class_size_;  ///< member count, valid at roots only
   size_t num_classes_ = 0;
 };
 

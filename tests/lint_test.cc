@@ -99,13 +99,18 @@ class ArtifactLintTest : public ::testing::Test {
     catalog_path_ = dir_->path() + "/lint_catalog.snapshot";
     sharded_path_ = dir_->path() + "/lint_sharded.snapshot";
     GEQO_CHECK_OK(system_->SaveSnapshot(system_path_));
-    auto serving = system_->OpenCatalog();
+    // The GEQOCATG artifact: the one shard segment of a synchronous
+    // (one-shard, drained) serving catalog's export.
+    auto serving = system_->OpenShardedCatalog(
+        serve::ShardedCatalogOptions::Synchronous(
+            system_->options().pipeline));
     for (const PlanPtr& plan : *plans_) {
-      GEQO_CHECK_OK(serving->ProbeAdd(plan).status());
+      GEQO_CHECK_OK(serve::ProbeAddAndDrain(*serving, plan).status());
     }
     {
-      std::ofstream out(catalog_path_, std::ios::binary | std::ios::trunc);
-      GEQO_CHECK_OK(serving->ExportSnapshot(out));
+      std::ostringstream exported;
+      GEQO_CHECK_OK(serving->ExportSnapshot(exported));
+      WriteFile(catalog_path_, OnlySegmentOf(exported.str()));
     }
 
     // A sharded catalog with a non-empty pending-verification tail: deferred
@@ -156,9 +161,57 @@ class ArtifactLintTest : public ::testing::Test {
     return status;
   }
 
+  /// Loads GEQOCATG \p bytes the way a restart does: as the one segment of
+  /// a one-shard GEQOSHRD container.
   static Status LoadServing(const std::string& bytes) {
-    std::istringstream stream(bytes);
-    return system_->ImportCatalogSnapshot(stream, *plans_).status();
+    std::istringstream stream(OneShardContainer(bytes, plans_->size()));
+    serve::ShardedCatalogOptions options;
+    options.verifier_threads = 0;
+    return system_->ImportShardedSnapshot(stream, *plans_, options).status();
+  }
+
+  // GEQOSHRD payload: magic, version, num_shards, count, count routing
+  // words, then per shard a length-prefixed GEQOCATG segment, the pending
+  // tail, and the end magic, under the checksum footer.
+
+  /// The GEQOCATG segment of a one-shard GEQOSHRD export.
+  static std::string OnlySegmentOf(const std::string& sharded) {
+    std::istringstream file(sharded);
+    const Result<std::string> payload_bytes =
+        io::ReadChecksummed(file, "one-shard export");
+    GEQO_CHECK_OK(payload_bytes.status());
+    std::istringstream payload(*payload_bytes);
+    io::BinaryReader reader(payload, "one-shard export");
+    reader.U64();  // magic
+    reader.U64();  // version
+    GEQO_CHECK(reader.U64() == 1) << "expected a one-shard export";
+    const uint64_t count = reader.U64();
+    for (uint64_t i = 0; i < count; ++i) reader.U64();  // routing
+    std::string segment(reader.U64(), '\0');
+    reader.Bytes(segment.data(), segment.size());
+    GEQO_CHECK_OK(reader.status());
+    return segment;
+  }
+
+  /// Wraps \p segment as the only shard of a GEQOSHRD container holding
+  /// \p count entries and no pending tail.
+  static std::string OneShardContainer(const std::string& segment,
+                                       uint64_t count) {
+    std::ostringstream payload;
+    io::BinaryWriter writer(payload, "one-shard container");
+    writer.U64(io::kShardedCatalogMagic);
+    writer.U64(io::kShardedCatalogVersion);
+    writer.U64(1);
+    writer.U64(count);
+    for (uint64_t i = 0; i < count; ++i) writer.U64(0);
+    writer.U64(segment.size());
+    writer.Bytes(segment.data(), segment.size());
+    writer.U64(0);
+    writer.U64(io::kShardedCatalogEndMagic);
+    GEQO_CHECK_OK(writer.status());
+    std::ostringstream file;
+    GEQO_CHECK_OK(io::WriteChecksummed(file, payload.str(), "container"));
+    return file.str();
   }
 
   static Status LoadSharded(const std::string& bytes) {
@@ -684,7 +737,7 @@ TEST(StoreManifestLintTest, CleanManifestHasZeroFindingsAndLoads) {
 
 TEST(StoreManifestLintTest, BitFlipAndTruncationAreDetected) {
   const std::string bytes =
-      CraftManifest(1, 1, 0, 0, 4, {2, 3});
+      CraftManifest(2, 1, 0, 0, 4, {2, 3});
   std::string flipped = bytes;
   flipped[bytes.size() / 2] =
       static_cast<char>(flipped[bytes.size() / 2] ^ 0x20);
@@ -704,23 +757,23 @@ TEST(StoreManifestLintTest, StructuralViolationsAreNamed) {
     const char* code;
   } cases[] = {
       // Version from the future.
-      {CraftManifest(1, 1, 0, 0, 2, {}, /*version=*/9), "manifest.version"},
-      // Store kind outside {single, sharded}.
+      {CraftManifest(2, 1, 0, 0, 2, {}, /*version=*/9), "manifest.version"},
+      // Store kind other than sharded.
       {CraftManifest(5, 1, 0, 0, 2, {}), "manifest.kind"},
       // Zero shards.
-      {CraftManifest(1, 0, 0, 0, 2, {}), "manifest.shard-count"},
+      {CraftManifest(2, 0, 0, 0, 2, {}), "manifest.shard-count"},
       // Entry count without a base segment.
-      {CraftManifest(1, 1, 0, 12, 2, {}), "manifest.base"},
+      {CraftManifest(2, 1, 0, 12, 2, {}), "manifest.base"},
       // Base id the allocator never issued.
-      {CraftManifest(1, 1, 7, 1, 2, {}), "manifest.base"},
+      {CraftManifest(2, 1, 7, 1, 2, {}), "manifest.base"},
       // Log ids out of order.
-      {CraftManifest(1, 1, 0, 0, 9, {5, 5}), "manifest.log-ids"},
+      {CraftManifest(2, 1, 0, 0, 9, {5, 5}), "manifest.log-ids"},
       // Log id colliding with the base segment.
-      {CraftManifest(1, 1, 3, 1, 9, {3}), "manifest.log-ids"},
+      {CraftManifest(2, 1, 3, 1, 9, {3}), "manifest.log-ids"},
       // Log id the allocator never issued.
-      {CraftManifest(1, 1, 0, 0, 4, {6}), "manifest.log-ids"},
+      {CraftManifest(2, 1, 0, 0, 4, {6}), "manifest.log-ids"},
       // Missing end marker.
-      {CraftManifest(1, 1, 0, 0, 2, {}, io::kManifestVersion,
+      {CraftManifest(2, 1, 0, 0, 2, {}, io::kManifestVersion,
                      /*end_magic=*/0),
        "manifest.end-magic"},
   };
@@ -731,6 +784,25 @@ TEST(StoreManifestLintTest, StructuralViolationsAreNamed) {
     EXPECT_FALSE(ReadManifestBytes(test_case.bytes).ok())
         << test_case.code << " must also fail the recovery-path reader";
   }
+}
+
+TEST(StoreManifestLintTest, RetiredSingleCatalogKindIsRejectedByBoth) {
+  // Kind 1 was the single-catalog store. The field stays in the format,
+  // but the loader and the linter now accept only the sharded kind — and
+  // reach the same verdict on the same bytes.
+  const std::string bytes = CraftManifest(
+      /*kind=*/1, /*num_shards=*/1, /*base_id=*/0, /*base_entries=*/0,
+      /*next_file_id=*/3, /*log_ids=*/{2});
+  const Diagnostics findings = LintArtifactBytes(bytes);
+  EXPECT_TRUE(HasCode(findings, "manifest.kind")) << CodesOf(findings);
+  const Status load = ReadManifestBytes(bytes);
+  EXPECT_EQ(load.code(), StatusCode::kInvalidArgument) << load.ToString();
+  EXPECT_NE(load.message().find("store kind 1"), std::string::npos)
+      << load.ToString();
+  // The same manifest with the sharded kind is clean for both.
+  const std::string sharded = CraftManifest(2, 1, 0, 0, 3, {2});
+  EXPECT_TRUE(LintArtifactBytes(sharded).empty());
+  EXPECT_TRUE(ReadManifestBytes(sharded).ok());
 }
 
 std::string CraftWal(const std::vector<serve::persist::WalRecord>& records,

@@ -3,13 +3,18 @@
 #include <unistd.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/binary_io.h"
+#include "common/checksum_io.h"
+#include "common/format_magic.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "core/geqo_system.h"
@@ -33,8 +38,12 @@
 //     are bit-identical, and the store keeps serving;
 //   - a torn log tail is truncated (once), counted, and gone on the next
 //     open; recovery itself can be killed and re-run idempotently;
-//   - legacy one-shot snapshot files are rejected loudly, as is opening a
-//     store with the wrong kind entry point.
+//   - legacy one-shot snapshot files are rejected loudly, as is a store
+//     whose manifest names the retired single-catalog kind.
+//
+// "Single" scenarios run the synchronous deployment — one shard, no
+// background verifier threads, the plane drained after every ProbeAdd —
+// and "Sharded" ones two shards with the backlog left queued.
 
 namespace geqo::serve {
 namespace {
@@ -86,9 +95,23 @@ class PersistTest : public ::testing::Test {
     return dir;
   }
 
+  /// No background compaction worker: a forked child must not start
+  /// threads (ThreadSanitizer refuses thread creation after a
+  /// multi-threaded fork), and the streams here never reach a threshold.
+  /// Maintenance scenarios compact explicitly.
+  static DurabilityOptions NoBackgroundCompaction() {
+    DurabilityOptions durability;
+    durability.compact_after_records = 0;
+    return durability;
+  }
+
   static Result<std::unique_ptr<CatalogStore>> OpenSingle(
-      const std::string& dir) {
-    return system_->OpenCatalogStore(dir, *plans_);
+      const std::string& dir,
+      const std::vector<PlanPtr>& plans = *plans_) {
+    return system_->OpenShardedCatalogStore(
+        dir, plans, ShardedCatalogOptions::Synchronous(
+                        system_->options().pipeline),
+        NoBackgroundCompaction());
   }
 
   static Result<std::unique_ptr<CatalogStore>> OpenShardedStore(
@@ -96,7 +119,8 @@ class PersistTest : public ::testing::Test {
     ShardedCatalogOptions options;
     options.num_shards = 2;
     options.verifier_threads = 0;  // deferred mode: deterministic streams
-    return system_->OpenShardedCatalogStore(dir, *plans_, options);
+    return system_->OpenShardedCatalogStore(dir, *plans_, options,
+                                            NoBackgroundCompaction());
   }
 
   static std::string SnapshotBytes(const CatalogStore& store) {
@@ -144,7 +168,7 @@ TEST_F(PersistTest, SingleAddStreamKilledAfterEveryRecordIsExact) {
     auto ref = OpenSingle(ref_dir);
     ASSERT_TRUE(ref.ok()) << ref.status().ToString();
     for (const PlanPtr& plan : *plans_) {
-      ASSERT_TRUE((*ref)->catalog()->Add(plan).ok());
+      ASSERT_TRUE((*ref)->sharded()->Add(plan).ok());
     }
     ref_bytes = SnapshotBytes(**ref);
     ASSERT_TRUE((*ref)->Close().ok());
@@ -156,7 +180,7 @@ TEST_F(PersistTest, SingleAddStreamKilledAfterEveryRecordIsExact) {
       auto store = OpenSingle(dir);
       GEQO_CHECK(store.ok());
       for (const PlanPtr& plan : *plans_) {
-        GEQO_CHECK((*store)->catalog()->Add(plan).ok());
+        GEQO_CHECK((*store)->sharded()->Add(plan).ok());
       }
       GEQO_CHECK_OK((*store)->Close());
     });
@@ -169,11 +193,11 @@ TEST_F(PersistTest, SingleAddStreamKilledAfterEveryRecordIsExact) {
 
     auto store = OpenSingle(dir);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
-    const size_t recovered = (*store)->catalog()->size();
+    const size_t recovered = (*store)->sharded()->size();
     EXPECT_EQ(recovered, static_cast<size_t>(k))
         << "every flushed add record must survive the crash";
     for (size_t i = recovered; i < plans_->size(); ++i) {
-      ASSERT_TRUE((*store)->catalog()->Add((*plans_)[i]).ok());
+      ASSERT_TRUE((*store)->sharded()->Add((*plans_)[i]).ok());
     }
     EXPECT_EQ(SnapshotBytes(**store), ref_bytes)
         << "recovery after record " << k
@@ -237,7 +261,7 @@ TEST_F(PersistTest, MaintenanceKillPointsRecoverBitIdentical) {
     auto ref = OpenSingle(ref_dir);
     ASSERT_TRUE(ref.ok()) << ref.status().ToString();
     for (const PlanPtr& plan : *plans_) {
-      ASSERT_TRUE((*ref)->catalog()->ProbeAdd(plan).ok());
+      ASSERT_TRUE(ProbeAddAndDrain(*(*ref)->sharded(), plan).ok());
     }
     ref_bytes = SnapshotBytes(**ref);
     ASSERT_TRUE((*ref)->Close().ok());
@@ -251,7 +275,7 @@ TEST_F(PersistTest, MaintenanceKillPointsRecoverBitIdentical) {
       auto store = OpenSingle(dir);
       GEQO_CHECK(store.ok());
       for (const PlanPtr& plan : *plans_) {
-        GEQO_CHECK((*store)->catalog()->ProbeAdd(plan).ok());
+        GEQO_CHECK(ProbeAddAndDrain(*(*store)->sharded(), plan).ok());
       }
       // Arm only now: Open's own rotation writes the manifest too, and the
       // crash under test is the one during maintenance.
@@ -330,7 +354,7 @@ TEST_F(PersistTest, MidProbeKillsRecoverDeterministically) {
       auto store = OpenSingle(dir);
       GEQO_CHECK(store.ok());
       for (const PlanPtr& plan : *plans_) {
-        GEQO_CHECK((*store)->catalog()->ProbeAdd(plan).ok());
+        GEQO_CHECK(ProbeAddAndDrain(*(*store)->sharded(), plan).ok());
       }
       GEQO_CHECK_OK((*store)->Close());
     });
@@ -353,8 +377,8 @@ TEST_F(PersistTest, MidProbeKillsRecoverDeterministically) {
     ASSERT_TRUE((*twin_store)->Close().ok());
 
     // The recovered store keeps serving: finish the stream and close.
-    for (size_t i = (*first)->catalog()->size(); i < plans_->size(); ++i) {
-      ASSERT_TRUE((*first)->catalog()->ProbeAdd((*plans_)[i]).ok());
+    for (size_t i = (*first)->sharded()->size(); i < plans_->size(); ++i) {
+      ASSERT_TRUE(ProbeAddAndDrain(*(*first)->sharded(), (*plans_)[i]).ok());
     }
     ASSERT_TRUE((*first)->Close().ok());
   }
@@ -372,7 +396,7 @@ TEST_F(PersistTest, KillDuringReplayThenRecoverAgainIsExact) {
     auto store = OpenSingle(dir);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
     for (const PlanPtr& plan : *plans_) {
-      ASSERT_TRUE((*store)->catalog()->ProbeAdd(plan).ok());
+      ASSERT_TRUE(ProbeAddAndDrain(*(*store)->sharded(), plan).ok());
     }
     ref_bytes = SnapshotBytes(**store);
     ASSERT_TRUE((*store)->Close().ok());
@@ -403,7 +427,7 @@ TEST_F(PersistTest, TornTailIsTruncatedOnceAndCounted) {
     auto store = OpenSingle(dir);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
     for (size_t i = 0; i < 3; ++i) {
-      ASSERT_TRUE((*store)->catalog()->Add((*plans_)[i]).ok());
+      ASSERT_TRUE((*store)->sharded()->Add((*plans_)[i]).ok());
     }
     ASSERT_TRUE((*store)->Close().ok());
   }
@@ -432,7 +456,7 @@ TEST_F(PersistTest, TornTailIsTruncatedOnceAndCounted) {
     auto store = OpenSingle(dir);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
     EXPECT_EQ((*store)->stats().torn_tails_truncated, damaged);
-    EXPECT_EQ((*store)->catalog()->size(), 3u)
+    EXPECT_EQ((*store)->sharded()->size(), 3u)
         << "truncation must not cost valid records";
     ASSERT_TRUE((*store)->Close().ok());
   }
@@ -441,7 +465,7 @@ TEST_F(PersistTest, TornTailIsTruncatedOnceAndCounted) {
     auto store = OpenSingle(dir);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
     EXPECT_EQ((*store)->stats().torn_tails_truncated, 0u);
-    EXPECT_EQ((*store)->catalog()->size(), 3u);
+    EXPECT_EQ((*store)->sharded()->size(), 3u);
     ASSERT_TRUE((*store)->Close().ok());
   }
 }
@@ -452,37 +476,62 @@ TEST_F(PersistTest, TornTailIsTruncatedOnceAndCounted) {
 
 TEST_F(PersistTest, LegacySnapshotFileIsRejectedLoudly) {
   const std::string path = StoreDir("legacy") + ".snapshot";
+  const ShardedCatalogOptions options =
+      ShardedCatalogOptions::Synchronous(system_->options().pipeline);
   {
-    auto serving = system_->OpenCatalog();
+    auto serving = system_->OpenShardedCatalog(options);
     for (const PlanPtr& plan : *plans_) {
-      ASSERT_TRUE(serving->ProbeAdd(plan).ok());
+      ASSERT_TRUE(ProbeAddAndDrain(*serving, plan).ok());
     }
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     ASSERT_TRUE(serving->ExportSnapshot(out).ok());
   }
   auto store = OpenSingle(path);
   ASSERT_FALSE(store.ok());
-  EXPECT_NE(store.status().ToString().find("legacy"), std::string::npos)
+  EXPECT_NE(store.status().ToString().find("not a store directory"),
+            std::string::npos)
       << store.status().ToString();
   // The misuse did not destroy the snapshot: it still imports.
   std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(system_->ImportCatalogSnapshot(in, *plans_).ok());
+  EXPECT_TRUE(system_->ImportShardedSnapshot(in, *plans_, options).ok());
   std::remove(path.c_str());
 }
 
 TEST_F(PersistTest, WrongKindOpenIsRejected) {
+  // Single-catalog stores (manifest kind 1) are retired: a directory whose
+  // manifest still names that kind must fail to open, loudly, instead of
+  // being recovered as a sharded store.
   const std::string dir = StoreDir("kind");
   {
     auto store = OpenSingle(dir);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
-    ASSERT_TRUE((*store)->catalog()->Add((*plans_)[0]).ok());
+    ASSERT_TRUE((*store)->sharded()->Add((*plans_)[0]).ok());
     ASSERT_TRUE((*store)->Close().ok());
   }
-  auto sharded = OpenShardedStore(dir);
-  ASSERT_FALSE(sharded.ok());
-  EXPECT_NE(
-      sharded.status().ToString().find("single-catalog"), std::string::npos)
-      << sharded.status().ToString();
+  // Rewrite the manifest's kind word (after magic and version) to 1 and
+  // refresh the checksum footer, so only the kind check can object.
+  const std::string manifest_path = dir + "/" + persist::ManifestFileName();
+  std::string bytes;
+  {
+    std::ifstream in(manifest_path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  std::string payload = bytes.substr(0, bytes.size() - sizeof(uint64_t));
+  uint64_t kind = 0;
+  std::memcpy(&kind, payload.data() + 16, sizeof(kind));
+  ASSERT_EQ(kind, io::kManifestShardedKind);
+  kind = 1;
+  std::memcpy(payload.data() + 16, &kind, sizeof(kind));
+  {
+    std::ofstream out(manifest_path, std::ios::binary | std::ios::trunc);
+    ASSERT_TRUE(io::WriteChecksummed(out, payload, "manifest").ok());
+  }
+  auto reopened = OpenSingle(dir);
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_EQ(reopened.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(reopened.status().ToString().find("store kind 1"),
+            std::string::npos)
+      << reopened.status().ToString();
 }
 
 // A store reopened with fewer plans than logged entries fails loudly
@@ -494,13 +543,13 @@ TEST_F(PersistTest, ReopenWithTruncatedPlanListFailsLoudly) {
     auto store = OpenSingle(dir);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
     for (const PlanPtr& plan : *plans_) {
-      ASSERT_TRUE((*store)->catalog()->Add(plan).ok());
+      ASSERT_TRUE((*store)->sharded()->Add(plan).ok());
     }
     ASSERT_TRUE((*store)->Close().ok());
   }
   const std::vector<PlanPtr> short_plans(plans_->begin(),
                                          plans_->begin() + 2);
-  auto reopened = system_->OpenCatalogStore(dir, short_plans);
+  auto reopened = OpenSingle(dir, short_plans);
   EXPECT_FALSE(reopened.ok());
 }
 

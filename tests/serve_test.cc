@@ -7,20 +7,29 @@
 #include "core/geqo_system.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "serve/equivalence_catalog.h"
+#include "serve/sharded_catalog.h"
 #include "serve/union_find.h"
 #include "serve/verifier_memo.h"
+#include "serve_test_util.h"
 #include "test_util.h"
 #include "workload/schemas.h"
+
+// The serving catalog's synchronous deployment — one shard, no background
+// verifier threads, the plane drained after every call — checked against
+// the class-at-a-time cascade's contract: classes, memoization, class
+// shortcuts, stage accounting, and GEQOSHRD snapshot round trips.
 
 namespace geqo {
 namespace {
 
-using serve::EquivalenceCatalog;
-using serve::ProbeAddResult;
-using serve::ProbeResult;
+using serve::ShardedCatalog;
+using serve::ShardedCatalogOptions;
 using serve::UnionFind;
+using serve::VerifiedProbe;
+using testing::EquivalentsOf;
 using testing::MustParse;
+using testing::ProbeAddVerified;
+using testing::ProbeVerified;
 
 /// One small trained system shared by the suite (training dominates the
 /// suite's runtime; the serving-layer behaviour under test is deterministic
@@ -43,6 +52,13 @@ class ServeTest : public ::testing::Test {
       return out;
     }();
     return *system;
+  }
+
+  /// A catalog in the synchronous deployment.
+  static std::unique_ptr<ShardedCatalog> Open(
+      const GeqoOptions& pipeline = System().options().pipeline) {
+    return System().OpenShardedCatalog(
+        ShardedCatalogOptions::Synchronous(pipeline));
   }
 
   /// Three mutually-equivalent lineitem queries, one near-miss, and an
@@ -81,6 +97,10 @@ TEST_F(ServeTest, UnionFindMinRootPolicy) {
   ASSERT_TRUE(restored.Restore(uf.CompressedParents()).ok());
   EXPECT_EQ(restored.NumClasses(), 4u);
   EXPECT_EQ(restored.Find(5), 2u);
+  // Class sizes are tracked at the roots, through unions and restores.
+  EXPECT_EQ(uf.ClassSize(5), 3u);
+  EXPECT_EQ(uf.ClassSize(0), 1u);
+  EXPECT_EQ(restored.ClassSize(4), 3u);
 
   // Corrupt parent arrays are rejected.
   EXPECT_FALSE(UnionFind().Restore({1, 1}).ok());  // parent > element
@@ -88,13 +108,13 @@ TEST_F(ServeTest, UnionFindMinRootPolicy) {
 }
 
 TEST_F(ServeTest, ProbeAddBuildsEquivalenceClasses) {
-  auto catalog = System().OpenCatalog();
+  auto catalog = Open();
   const std::vector<PlanPtr> plans = StreamPlans();
-  std::vector<ProbeAddResult> results;
+  std::vector<std::vector<size_t>> equivalents;
   for (const PlanPtr& plan : plans) {
-    auto result = catalog->ProbeAdd(plan);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    results.push_back(*result);
+    const VerifiedProbe step = ProbeAddVerified(*catalog, plan);
+    EXPECT_EQ(step.id, equivalents.size());
+    equivalents.push_back(EquivalentsOf(*catalog, step.id));
   }
   ASSERT_EQ(catalog->size(), plans.size());
 
@@ -107,31 +127,35 @@ TEST_F(ServeTest, ProbeAddBuildsEquivalenceClasses) {
   EXPECT_EQ(catalog->ClassOf(5), 4u);
   EXPECT_EQ(catalog->NumClasses(), 3u);
   EXPECT_EQ(catalog->ClassMembers(0), (std::vector<size_t>{0, 1, 2}));
+  testing::ExpectOracleAgreement(System(), *catalog);
 
-  // Each probe against a non-empty catalog reported its proven peers.
-  EXPECT_EQ(results[2].probe.equivalent_ids, (std::vector<size_t>{0, 1}));
-  ASSERT_TRUE(results[2].probe.representative.has_value());
-  EXPECT_EQ(*results[2].probe.representative, 0u);
-  EXPECT_TRUE(results[3].probe.equivalent_ids.empty());
-  EXPECT_EQ(results[5].probe.equivalent_ids, (std::vector<size_t>{4}));
+  // Each verified ProbeAdd joined exactly its proven peers.
+  EXPECT_EQ(equivalents[2], (std::vector<size_t>{0, 1}));
+  EXPECT_TRUE(equivalents[3].empty());
+  EXPECT_EQ(equivalents[5], (std::vector<size_t>{4}));
 
-  // Probe alone never mutates the entry set or the classes.
+  // Probe alone never mutates the entry set or the classes; once the plane
+  // has memoized its proof, a repeat probe reports the proven class with
+  // its representative.
   const size_t classes_before = catalog->NumClasses();
-  auto probe = catalog->Probe(plans[0]);
-  ASSERT_TRUE(probe.ok());
+  ProbeVerified(*catalog, plans[0]);
+  const VerifiedProbe probe = ProbeVerified(*catalog, plans[0]);
   EXPECT_EQ(catalog->size(), plans.size());
   EXPECT_EQ(catalog->NumClasses(), classes_before);
+  EXPECT_EQ(probe.probe.proven_ids, (std::vector<size_t>{0, 1, 2}));
+  ASSERT_TRUE(probe.probe.representative.has_value());
+  EXPECT_EQ(*probe.probe.representative, 0u);
 }
 
 TEST_F(ServeTest, ProbeLatencyCoversPreparationAndSumsStages) {
-  auto catalog = System().OpenCatalog();
+  auto catalog = Open();
   const std::vector<PlanPtr> plans = StreamPlans();
-  ASSERT_TRUE(catalog->ProbeAdd(plans[0]).ok());
-  ASSERT_TRUE(catalog->ProbeAdd(plans[1]).ok());
+  ProbeAddVerified(*catalog, plans[0]);
+  ProbeAddVerified(*catalog, plans[1]);
 
   // The stopwatch starts at Probe entry: the first stage is the query
-  // preparation (canonicalize + hash + encode) that used to run before the
-  // clock, and `seconds` is exactly the sum of the reported stages.
+  // preparation (canonicalize + hash + encode), and `seconds` is exactly
+  // the sum of the reported stages.
   auto probe = catalog->Probe(plans[2]);
   ASSERT_TRUE(probe.ok()) << probe.status().ToString();
   ASSERT_FALSE(probe->stages.empty());
@@ -195,33 +219,31 @@ TEST_F(ServeTest, MemoCollisionIsDetectedAndNeverServesTheWrongVerdict) {
 }
 
 TEST_F(ServeTest, MemoShortCircuitsRepeatProbes) {
-  auto catalog = System().OpenCatalog();
+  auto catalog = Open();
   const std::vector<PlanPtr> plans = StreamPlans();
-  for (size_t i = 0; i < 4; ++i) {
-    ASSERT_TRUE(catalog->ProbeAdd(plans[i]).ok());
-  }
+  for (size_t i = 0; i < 4; ++i) ProbeAddVerified(*catalog, plans[i]);
   const PlanPtr query = MustParse(
       "SELECT l_orderkey FROM lineitem WHERE l_quantity + 1 > 21",
       System().catalog());
 
   obs::SetTraceLevel(obs::TraceLevel::kMetrics);
   const obs::MetricsSnapshot before = obs::MetricsRegistry::Global().Snapshot();
-  auto first = catalog->Probe(query);
+  const VerifiedProbe first = ProbeVerified(*catalog, query);
   const obs::MetricsSnapshot mid = obs::MetricsRegistry::Global().Snapshot();
-  auto second = catalog->Probe(query);
+  const VerifiedProbe second = ProbeVerified(*catalog, query);
   const obs::MetricsSnapshot after = obs::MetricsRegistry::Global().Snapshot();
   obs::SetTraceLevel(obs::TraceLevel::kOff);
 
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
-  ASSERT_TRUE(second.ok()) << second.status().ToString();
-  ASSERT_FALSE(first->candidate_ids.empty());
-  EXPECT_GT(first->verifier_calls, 0u);
+  ASSERT_FALSE(first.probe.matches.empty());
+  EXPECT_GT(first.verifier_calls, 0u);
 
   // The repeat probe decided every candidate from the memo: zero verifier
-  // calls, visible both in the result and in the serve.*/verify.* metrics.
-  EXPECT_EQ(second->verifier_calls, 0u);
-  EXPECT_GT(second->memo_hits, 0u);
-  EXPECT_EQ(second->equivalent_ids, first->equivalent_ids);
+  // calls and nothing for the plane, visible both in the result and in the
+  // serve.*/verify.* metrics.
+  EXPECT_EQ(second.verifier_calls, 0u);
+  EXPECT_EQ(second.probe.pending_classes, 0u);
+  EXPECT_GT(second.memo_hits, 0u);
+  EXPECT_EQ(second.probe.proven_ids, (std::vector<size_t>{0, 1, 2}));
   EXPECT_GT(mid.Value("serve.verifier_calls") - before.Value("serve.verifier_calls"), 0.0);
   EXPECT_EQ(after.Value("serve.verifier_calls") - mid.Value("serve.verifier_calls"), 0.0);
   EXPECT_EQ(after.Value("verify.pairs_checked") - mid.Value("verify.pairs_checked"), 0.0);
@@ -229,26 +251,70 @@ TEST_F(ServeTest, MemoShortCircuitsRepeatProbes) {
 }
 
 TEST_F(ServeTest, ClassShortcutProvesOnceAndAdoptsWholeClass) {
-  auto catalog = System().OpenCatalog();
+  auto catalog = Open();
   const std::vector<PlanPtr> plans = StreamPlans();
   for (size_t i = 0; i < 3; ++i) {  // the three mutually-equivalent rewrites
-    ASSERT_TRUE(catalog->ProbeAdd(plans[i]).ok());
+    ProbeAddVerified(*catalog, plans[i]);
   }
   ASSERT_EQ(catalog->NumClasses(), 1u);
 
   // A fresh equivalent query must adopt the 3-member class with exactly one
   // pairwise proof (against the representative) — the other members are
-  // class shortcuts, not verifier calls.
+  // class shortcuts, not verifier calls. The proof happens on the async
+  // plane, which counts the shortcuts it takes.
   const PlanPtr query = MustParse(
       "SELECT l_orderkey FROM lineitem WHERE l_quantity + 2 > 22",
       System().catalog());
-  auto probe = catalog->Probe(query);
-  ASSERT_TRUE(probe.ok()) << probe.status().ToString();
-  ASSERT_EQ(probe->equivalent_ids, (std::vector<size_t>{0, 1, 2}));
-  EXPECT_EQ(probe->verifier_calls, 1u);
-  EXPECT_EQ(probe->class_shortcuts, 2u);
-  ASSERT_TRUE(probe->representative.has_value());
-  EXPECT_EQ(*probe->representative, 0u);
+  const VerifiedProbe probe = ProbeVerified(*catalog, query);
+  EXPECT_EQ(probe.verifier_calls, 1u);
+  EXPECT_EQ(probe.class_shortcuts, 2u);
+  EXPECT_EQ(probe.probe.class_shortcuts, 0u);
+
+  // The memoized proof now decides the class at probe time.
+  const VerifiedProbe again = ProbeVerified(*catalog, query);
+  ASSERT_EQ(again.probe.proven_ids, (std::vector<size_t>{0, 1, 2}));
+  EXPECT_EQ(again.verifier_calls, 0u);
+  EXPECT_EQ(again.probe.class_shortcuts, 2u);
+  ASSERT_TRUE(again.probe.representative.has_value());
+  EXPECT_EQ(*again.probe.representative, 0u);
+}
+
+TEST_F(ServeTest, PlaneResumesClassifyWalkAtTheFirstMiss) {
+  // The root's pair is memoized kUnknown (non-linear outputs that are not
+  // syntactically identical), the next member's pair is not memoized. The
+  // plane must resume at that member, not re-walk the root: the memo hits
+  // of probe plus plane add up to the one lookup the sync cascade makes.
+  const Catalog& db = System().catalog();
+  GeqoOptions pipeline = System().options().pipeline;
+  pipeline.vmf.radius = 1e6f;  // wide-open funnel: every pair reaches
+  pipeline.emf.threshold = 0.0f;  // the verifier
+  auto catalog = Open(pipeline);
+  const PlanPtr root = MustParse(
+      "SELECT l_quantity * l_discount FROM lineitem WHERE l_quantity > 20",
+      db);
+  const PlanPtr member = MustParse(
+      "SELECT l_quantity * l_discount FROM lineitem WHERE 20 < l_quantity",
+      db);
+  const PlanPtr query = MustParse(
+      "SELECT l_quantity * l_extendedprice FROM lineitem WHERE l_quantity > 20",
+      db);
+
+  ProbeAddVerified(*catalog, root);
+  const VerifiedProbe primed = ProbeVerified(*catalog, query);
+  ASSERT_EQ(primed.verifier_calls, 1u);  // (query, root) -> kUnknown
+  ASSERT_EQ(ProbeVerified(*catalog, query).probe.pending_classes, 0u)
+      << "the root pair should be memoized kUnknown";
+  const VerifiedProbe joined = ProbeAddVerified(*catalog, member);
+  ASSERT_EQ(catalog->ClassOf(joined.id), 0u) << "member must join the root";
+
+  const serve::ShardedCatalogStats before = catalog->stats();
+  const VerifiedProbe probe = ProbeVerified(*catalog, query);
+  const serve::ShardedCatalogStats after = catalog->stats();
+  EXPECT_EQ(probe.probe.memo_hits, 1u);  // the root, at probe time
+  EXPECT_EQ(probe.probe.pending_classes, 1u);
+  EXPECT_EQ(after.async_memo_hits - before.async_memo_hits, 0u);
+  EXPECT_EQ(probe.memo_hits, 1u);
+  EXPECT_EQ(probe.verifier_calls, 1u);  // the member, on the plane
 }
 
 TEST_F(ServeTest, SnapshotRoundTripIsBitIdentical) {
@@ -256,36 +322,46 @@ TEST_F(ServeTest, SnapshotRoundTripIsBitIdentical) {
   const std::vector<PlanPtr> first_half(plans.begin(), plans.begin() + 4);
 
   // Uninterrupted catalog: full stream.
-  auto uninterrupted = System().OpenCatalog();
-  std::vector<ProbeAddResult> expected;
-  for (size_t i = 0; i < 4; ++i) {
-    ASSERT_TRUE(uninterrupted->ProbeAdd(plans[i]).ok());
-  }
+  auto uninterrupted = Open();
+  std::vector<VerifiedProbe> expected;
+  for (size_t i = 0; i < 4; ++i) ProbeAddVerified(*uninterrupted, plans[i]);
   std::stringstream snapshot;
   ASSERT_TRUE(uninterrupted->ExportSnapshot(snapshot).ok());
+  std::vector<std::vector<size_t>> want_equivalents;
   for (size_t i = 4; i < plans.size(); ++i) {
-    auto result = uninterrupted->ProbeAdd(plans[i]);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    expected.push_back(*result);
+    expected.push_back(ProbeAddVerified(*uninterrupted, plans[i]));
+    want_equivalents.push_back(
+        EquivalentsOf(*uninterrupted, expected.back().id));
   }
 
   // Interrupted catalog: restore the snapshot, replay the remainder.
-  auto loaded = System().ImportCatalogSnapshot(snapshot, first_half);
+  ShardedCatalogOptions load_options;
+  load_options.verifier_threads = 0;
+  auto loaded =
+      System().ImportShardedSnapshot(snapshot, first_half, load_options);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ((*loaded)->num_shards(), 1u);
   EXPECT_EQ((*loaded)->size(), 4u);
   EXPECT_EQ((*loaded)->NumClasses(), uninterrupted->NumClasses() - 1);
   for (size_t i = 4; i < plans.size(); ++i) {
-    auto result = (*loaded)->ProbeAdd(plans[i]);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    const ProbeAddResult& want = expected[i - 4];
-    EXPECT_EQ(result->id, want.id);
-    EXPECT_EQ(result->class_id, want.class_id);
-    EXPECT_EQ(result->probe.equivalent_ids, want.probe.equivalent_ids);
-    EXPECT_EQ(result->probe.candidate_ids, want.probe.candidate_ids);
-    EXPECT_EQ(result->probe.representative, want.probe.representative);
-    EXPECT_EQ(result->probe.verifier_calls, want.probe.verifier_calls);
-    EXPECT_EQ(result->probe.memo_hits, want.probe.memo_hits);
-    EXPECT_EQ(result->probe.class_shortcuts, want.probe.class_shortcuts);
+    const VerifiedProbe result = ProbeAddVerified(**loaded, plans[i]);
+    const VerifiedProbe& want = expected[i - 4];
+    EXPECT_EQ(result.id, want.id);
+    EXPECT_EQ((*loaded)->ClassOf(result.id),
+              uninterrupted->ClassOf(want.id));
+    EXPECT_EQ(EquivalentsOf(**loaded, result.id), want_equivalents[i - 4]);
+    // The same filter survivors, classified the same way.
+    ASSERT_EQ(result.probe.matches.size(), want.probe.matches.size());
+    for (size_t k = 0; k < want.probe.matches.size(); ++k) {
+      EXPECT_EQ(result.probe.matches[k].id, want.probe.matches[k].id);
+      EXPECT_EQ(result.probe.matches[k].verdict,
+                want.probe.matches[k].verdict);
+    }
+    EXPECT_EQ(result.probe.proven_ids, want.probe.proven_ids);
+    EXPECT_EQ(result.probe.representative, want.probe.representative);
+    EXPECT_EQ(result.verifier_calls, want.verifier_calls);
+    EXPECT_EQ(result.memo_hits, want.memo_hits);
+    EXPECT_EQ(result.class_shortcuts, want.class_shortcuts);
   }
 
   // After replay, both catalogs serialize to identical bytes.
@@ -299,52 +375,48 @@ TEST_F(ServeTest, SnapshotRoundTripIsBitIdentical) {
 TEST_F(ServeTest, LoadedMemoNeverReProves) {
   const std::vector<PlanPtr> plans = StreamPlans();
   const std::vector<PlanPtr> entries(plans.begin(), plans.begin() + 3);
-  auto original = System().OpenCatalog();
-  for (const PlanPtr& plan : entries) {
-    ASSERT_TRUE(original->ProbeAdd(plan).ok());
-  }
+  auto original = Open();
+  for (const PlanPtr& plan : entries) ProbeAddVerified(*original, plan);
   // Probe (without adding) so the verdicts land in the memo, then persist.
   const PlanPtr query = MustParse(
       "SELECT l_orderkey FROM lineitem WHERE l_quantity + 3 > 23",
       System().catalog());
-  auto primed = original->Probe(query);
-  ASSERT_TRUE(primed.ok());
-  EXPECT_GT(primed->verifier_calls, 0u);
+  const VerifiedProbe primed = ProbeVerified(*original, query);
+  EXPECT_GT(primed.verifier_calls, 0u);
   std::stringstream snapshot;
   ASSERT_TRUE(original->ExportSnapshot(snapshot).ok());
 
-  auto loaded = EquivalenceCatalog::ImportSnapshot(
-      snapshot, &System().catalog(), &System().model(),
-      &System().instance_layout(), &System().agnostic_layout(),
-      System().value_range(), entries, original->options());
+  auto loaded = ShardedCatalog::ImportSnapshot(
+      snapshot, System().ServeComponents(), entries, original->options());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ((*loaded)->memo_size(), original->memo_size());
 
-  auto replay = (*loaded)->Probe(query);
-  ASSERT_TRUE(replay.ok());
-  EXPECT_EQ(replay->verifier_calls, 0u);
-  EXPECT_GT(replay->memo_hits, 0u);
-  EXPECT_EQ(replay->equivalent_ids, primed->equivalent_ids);
+  const VerifiedProbe replay = ProbeVerified(**loaded, query);
+  EXPECT_EQ(replay.verifier_calls, 0u);
+  EXPECT_GT(replay.memo_hits, 0u);
+  EXPECT_EQ(replay.probe.proven_ids, (std::vector<size_t>{0, 1, 2}));
 }
 
 TEST_F(ServeTest, LoadRejectsCorruptAndMismatchedSnapshots) {
   const std::vector<PlanPtr> plans = StreamPlans();
   const std::vector<PlanPtr> entries(plans.begin(), plans.begin() + 3);
-  auto original = System().OpenCatalog();
-  for (const PlanPtr& plan : entries) {
-    ASSERT_TRUE(original->ProbeAdd(plan).ok());
-  }
+  auto original = Open();
+  for (const PlanPtr& plan : entries) ProbeAddVerified(*original, plan);
   std::stringstream snapshot;
   ASSERT_TRUE(original->ExportSnapshot(snapshot).ok());
   const std::string bytes = snapshot.str();
   const auto import_bytes = [&](const std::string& data,
-                                const std::vector<PlanPtr>& with) {
+                                const std::vector<PlanPtr>& with,
+                                const Catalog* db = nullptr) {
     std::stringstream stream(data);
-    return System().ImportCatalogSnapshot(stream, with);
+    serve::CatalogComponents components = System().ServeComponents();
+    if (db != nullptr) components.db_catalog = db;
+    return ShardedCatalog::ImportSnapshot(stream, components, with,
+                                          original->options());
   };
 
-  // Garbage stream: the v2 whole-payload checksum rejects it before any
-  // field is decoded.
+  // Garbage stream: the whole-payload checksum rejects it before any field
+  // is decoded.
   const auto garbage = import_bytes("not a catalog snapshot at all", entries);
   ASSERT_FALSE(garbage.ok());
   EXPECT_NE(garbage.status().message().find("checksum mismatch"),
@@ -357,38 +429,29 @@ TEST_F(ServeTest, LoadRejectsCorruptAndMismatchedSnapshots) {
   EXPECT_NE(short_plans.status().message().find("entry count mismatch"),
             std::string::npos);
 
-  // Right count, wrong order: the canonical hash check names the entry.
+  // Right count, wrong order: the shard segment's canonical hash check
+  // names the entry.
   std::vector<PlanPtr> reordered = {entries[1], entries[0], entries[2]};
   const auto swapped = import_bytes(bytes, reordered);
   ASSERT_FALSE(swapped.ok());
   EXPECT_NE(swapped.status().message().find("does not match"),
             std::string::npos);
 
-  // A different database schema: fingerprint mismatch before any decoding.
+  // A different database schema: the segment's fingerprint check fires
+  // before any section is decoded.
   Catalog other = MakeTpchCatalog();
   GEQO_CHECK_OK(
       other.AddTable(TableDef("extra", {{"x", ValueType::kInt}})));
-  {
-    std::stringstream stream(bytes);
-    const auto foreign = EquivalenceCatalog::ImportSnapshot(
-        stream, &other, &System().model(), &System().instance_layout(),
-        &System().agnostic_layout(), System().value_range(), entries,
-        original->options());
-    ASSERT_FALSE(foreign.ok());
-    EXPECT_NE(foreign.status().message().find("fingerprint mismatch"),
-              std::string::npos);
-  }
+  const auto foreign = import_bytes(bytes, entries, &other);
+  ASSERT_FALSE(foreign.ok());
+  EXPECT_NE(foreign.status().message().find("fingerprint mismatch"),
+            std::string::npos);
 
   // Truncations at several depths all fail loudly.
   for (const double fraction : {0.1, 0.5, 0.95}) {
     const std::string cut =
         bytes.substr(0, static_cast<size_t>(bytes.size() * fraction));
-    std::stringstream stream(cut);
-    const auto truncated = EquivalenceCatalog::ImportSnapshot(
-        stream, &System().catalog(), &System().model(),
-        &System().instance_layout(), &System().agnostic_layout(),
-        System().value_range(), entries, original->options());
-    EXPECT_FALSE(truncated.ok()) << "fraction " << fraction;
+    EXPECT_FALSE(import_bytes(cut, entries).ok()) << "fraction " << fraction;
   }
 
   // Trailing garbage lands inside the checksummed span and is rejected.
@@ -398,10 +461,9 @@ TEST_F(ServeTest, LoadRejectsCorruptAndMismatchedSnapshots) {
 }
 
 TEST_F(ServeTest, InvalidOptionsPoisonCatalog) {
-  serve::CatalogOptions options;
-  options.pipeline = System().options().pipeline;
-  options.pipeline.vmf.radius = -1.0f;
-  auto catalog = System().OpenCatalog(options);
+  GeqoOptions pipeline = System().options().pipeline;
+  pipeline.vmf.radius = -1.0f;
+  auto catalog = Open(pipeline);
   const PlanPtr plan = StreamPlans()[0];
   EXPECT_FALSE(catalog->Add(plan).ok());
   EXPECT_FALSE(catalog->Probe(plan).ok());

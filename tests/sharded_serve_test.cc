@@ -12,15 +12,16 @@
 #include "analysis/lock_rank.h"
 #include "core/geqo_system.h"
 #include "serve/sharded_catalog.h"
+#include "serve_test_util.h"
 #include "test_util.h"
 #include "workload/schemas.h"
 
 // The sharded serving catalog's concurrency contract: probes never block
-// behind verification, concurrent probers and adders agree with a
-// single-threaded oracle replay, proofs are never retracted, the async
-// plane loses no verdicts across a drain, and GEQOSHRD snapshots round-trip
-// the pending-verification tail. The whole suite runs under the TSan lane
-// of scripts/check.sh.
+// behind verification, concurrent probers and adders agree with an
+// independent replay of the synchronous cascade, proofs are never
+// retracted, the async plane loses no verdicts across a drain, and
+// GEQOSHRD snapshots round-trip the pending-verification tail. The whole
+// suite runs under the TSan lane of scripts/check.sh.
 
 namespace geqo {
 namespace {
@@ -90,24 +91,9 @@ class ShardedServeTest : public ::testing::Test {
     return System().OpenShardedCatalog(options);
   }
 
-  /// The partition-agreement oracle: replays \p sharded's entries (in global
-  /// Add order) through a plain single-threaded EquivalenceCatalog and
-  /// demands the same same-class relation for every entry pair.
+  /// The partition-agreement oracle (see serve_test_util.h).
   static void ExpectOracleAgreement(const ShardedCatalog& sharded) {
-    auto oracle = System().OpenCatalog();
-    for (size_t gid = 0; gid < sharded.size(); ++gid) {
-      const auto added = oracle->ProbeAdd(sharded.plan(gid));
-      ASSERT_TRUE(added.ok()) << added.status().ToString();
-    }
-    for (size_t i = 0; i < sharded.size(); ++i) {
-      for (size_t j = i + 1; j < sharded.size(); ++j) {
-        EXPECT_EQ(sharded.ClassOf(i) == sharded.ClassOf(j),
-                  oracle->ClassOf(i) == oracle->ClassOf(j))
-            << "entries " << i << " and " << j
-            << " disagree with the oracle replay";
-      }
-    }
-    EXPECT_EQ(sharded.NumClasses(), oracle->NumClasses());
+    testing::ExpectOracleAgreement(System(), sharded);
   }
 };
 
@@ -352,11 +338,12 @@ TEST_F(ShardedServeTest, OverlappingSavesUnderActiveVerifierLoad) {
 }
 
 TEST_F(ShardedServeTest, ProbePreparationDoesNotRaceShardZeroInserts) {
-  // Regression: prep() used to return shard 0's *live* catalog, so every
+  // Regression: preparation once ran on shard 0's *live* catalog, so every
   // probe's prepare/embed stage read a guarded member with no lock while
   // shard-0 inserts mutated it — a data race TSan flags and the thread-
-  // safety annotations reject. With one shard, every add lands on shard 0,
-  // maximizing pressure on the (now insert-immune) preparation catalog.
+  // safety annotations reject. Preparation now reads only the immutable
+  // component wiring. With one shard, every add lands on shard 0,
+  // maximizing pressure on that path.
   auto sharded = Open(/*num_shards=*/1, /*verifier_threads=*/2);
   const std::vector<PlanPtr> plans = StreamPlans();
   ASSERT_TRUE(sharded->ProbeAdd(plans[0]).ok());
