@@ -11,7 +11,6 @@
 #include "bench_util.h"
 #include "common/check.h"
 #include "common/stopwatch.h"
-#include "exec/executor.h"
 #include "exec/result_cache.h"
 #include "exec/session.h"
 #include "plan/canonicalize.h"
@@ -23,9 +22,9 @@
 /// vectorized execution (no reuse machinery) or through the full loop —
 /// ShardedCatalog::ProbeAdd resolves each query to an equivalence class,
 /// and an OnlineResultCache short-circuits classes with demonstrated
-/// reuse. The artifact (BENCH_e2e.json) records both stream reports plus a
-/// single-stream comparison of the legacy row oracle against the
-/// morsel-driven vectorized engine.
+/// reuse. The artifact (BENCH_e2e.json) records both stream reports. The
+/// vectorized engine's parity with the row-at-a-time oracle over this
+/// query mix is a test (VecExecWorkloadTest.E2eBenchWorkloadMatchesOracle).
 
 namespace geqo::bench {
 namespace {
@@ -50,33 +49,6 @@ std::vector<const PlanPtr*> BuildStream(const std::vector<PlanPtr>& plans,
     }
   }
   return stream;
-}
-
-/// Single-stream engine phase: runs every query in \p stream through \p run
-/// and reports aggregate throughput.
-template <typename RunFn>
-E2eEngineReport RunEngine(const std::string& label,
-                          const std::vector<const PlanPtr*>& stream,
-                          const RunFn& run) {
-  E2eEngineReport report;
-  report.label = label;
-  Stopwatch watch;
-  for (const PlanPtr* plan : stream) {
-    auto rows = run(*plan);
-    GEQO_CHECK(rows.ok()) << label << ": " << rows.status().ToString();
-    report.rows += rows->num_rows();
-  }
-  report.queries = stream.size();
-  report.seconds = watch.ElapsedSeconds();
-  report.queries_per_second =
-      static_cast<double>(report.queries) / std::max(report.seconds, 1e-12);
-  return report;
-}
-
-void PrintEngine(const E2eEngineReport& report) {
-  std::printf("%-12s  queries=%-5zu rows=%-7zu %8.3f s  %10.1f q/s\n",
-              report.label.c_str(), report.queries, report.rows,
-              report.seconds, report.queries_per_second);
 }
 
 /// Closed-loop multi-client phase: \p clients threads pull queries from the
@@ -171,37 +143,8 @@ int main() {
               "rows\n\n",
               workload.subexpressions.size(), rounds, database.TotalRows());
 
-  // Phase 1: single-stream engine comparison, with a bag-equality parity
-  // sweep on the first round. The oracle's row-at-a-time evaluation is the
-  // semantics reference; the morsel-driven engine must match it exactly
-  // before its throughput means anything.
-  std::printf("# single-stream engine comparison\n");
-  Executor oracle(&database);
-  exec::ExecutionSession session(&database);
-  for (const PlanPtr& plan : workload.subexpressions) {
-    auto expected = oracle.Execute(plan);
-    GEQO_CHECK(expected.ok()) << expected.status().ToString();
-    auto actual = session.Execute(plan);
-    GEQO_CHECK(actual.ok()) << actual.status().ToString();
-    GEQO_CHECK(expected->BagEquals(*actual))
-        << "vectorized result diverges from the row oracle";
-  }
-  std::vector<E2eEngineReport> engines;
-  engines.push_back(RunEngine("row-oracle", stream, [&](const PlanPtr& plan) {
-    return oracle.Execute(plan);
-  }));
-  PrintEngine(engines.back());
-  engines.push_back(RunEngine("vectorized", stream, [&](const PlanPtr& plan) {
-    return session.Execute(plan);
-  }));
-  PrintEngine(engines.back());
-  const double engine_speedup =
-      engines[1].queries_per_second /
-      std::max(engines[0].queries_per_second, 1e-12);
-  std::printf("vectorized over row-oracle: %.2fx\n\n", engine_speedup);
-
-  // Phase 2: concurrent client streams. The uncached configuration executes
-  // every arrival; the cached configuration resolves each arrival to an
+  // Concurrent client streams. The uncached configuration executes every
+  // arrival; the cached configuration resolves each arrival to an
   // equivalence class — an exact-match tier first (CanonicalHash lookup, the
   // cheapest filter in the stack), falling back to the semantic tier
   // (ShardedCatalog::ProbeAdd) for texts it has never seen — and then lets
@@ -314,9 +257,9 @@ int main() {
         << "x is under GEQO_E2E_MIN_SPEEDUP=" << min_speedup;
   }
 
-  WriteE2eArtifact(engines, engine_speedup, streams, cached_speedup,
-                   catalog->size(), catalog->NumClasses(),
-                   cache.stats().used_bytes, cache.budget_bytes());
+  WriteE2eArtifact(streams, cached_speedup, catalog->size(),
+                   catalog->NumClasses(), cache.stats().used_bytes,
+                   cache.budget_bytes());
   std::printf("\nwrote BENCH_e2e.json\n");
   return 0;
 }

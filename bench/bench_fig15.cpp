@@ -4,7 +4,7 @@
 /// materializes one representative per class under a storage budget
 /// (most-expensive-first, from measured runtimes) and serves later class
 /// members from the cache. Queries are actually executed on the bundled
-/// in-memory engine over synthetic TPC-DS data (DESIGN.md §1: the paper
+/// vectorized engine over synthetic TPC-DS data (DESIGN.md §1: the paper
 /// used a 100 GB instance on a commercial DBMS; the mechanism is preserved
 /// at reduced scale).
 ///
@@ -18,8 +18,8 @@
 #include <map>
 
 #include "bench_util.h"
-#include "exec/executor.h"
 #include "exec/result_cache.h"
+#include "exec/session.h"
 
 using namespace geqo;
 using namespace geqo::bench;
@@ -88,16 +88,17 @@ int main() {
   data_options.rows_per_table["catalog_sales"] = Pick(500, 1500, 6000);
   data_options.rows_per_table["web_sales"] = Pick(400, 1200, 5000);
   const Database db = Database::Generate(tpcds, data_options);
-  Executor executor(&db);
+  const exec::ExecutionSession session(&db);
 
   std::vector<QueryProfile> profiles;
   size_t executed = 0;
   for (size_t i = 0; i < workload.size(); ++i) {
-    ExecStats stats;
-    auto rows = executor.Execute(workload[i], &stats);
+    exec::ExecMetrics metrics;
+    auto rows = session.Execute(workload[i], &metrics);
     if (!rows.ok() || rows->num_rows() == 0) continue;  // as in §7.7
-    profiles.push_back(QueryProfile{i, class_ids[find(i)], stats.seconds,
-                                    rows->ByteSize()});
+    profiles.push_back(QueryProfile{
+        i, class_ids[find(i)],
+        metrics.compile_seconds + metrics.execute_seconds, rows->ByteSize()});
     ++executed;
   }
 

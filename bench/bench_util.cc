@@ -474,9 +474,7 @@ void WriteServeArtifact(const std::vector<ServeBenchReport>& phases,
   obs::WriteTraceArtifactsIfEnabled();
 }
 
-void WriteE2eArtifact(const std::vector<E2eEngineReport>& engines,
-                      double engine_speedup,
-                      const std::vector<E2eStreamReport>& streams,
+void WriteE2eArtifact(const std::vector<E2eStreamReport>& streams,
                       double cached_speedup, size_t catalog_entries,
                       size_t catalog_classes, size_t cache_used_bytes,
                       size_t cache_budget_bytes) {
@@ -486,18 +484,6 @@ void WriteE2eArtifact(const std::vector<E2eEngineReport>& engines,
   json.Key("isa").String(kernels::ActiveIsaName());
   json.Key("quant").String(kernels::QuantModeName());
   json.EndObject();
-  json.Key("engines").BeginArray();
-  for (const E2eEngineReport& engine : engines) {
-    json.BeginObject();
-    json.Key("label").String(engine.label);
-    json.Key("queries").Number(static_cast<uint64_t>(engine.queries));
-    json.Key("rows").Number(static_cast<uint64_t>(engine.rows));
-    json.Key("seconds").Number(engine.seconds);
-    json.Key("queries_per_second").Number(engine.queries_per_second);
-    json.EndObject();
-  }
-  json.EndArray();
-  json.Key("engine_speedup").Number(engine_speedup);
   json.Key("streams").BeginArray();
   for (const E2eStreamReport& stream : streams) {
     json.BeginObject();

@@ -213,16 +213,6 @@ void WriteServeArtifact(const std::vector<ServeBenchReport>& phases,
                         double concurrent_p99_speedup = 0.0,
                         const DurabilityBenchReport* durability = nullptr);
 
-/// \brief One engine's single-stream timing over the e2e query mix (the
-/// legacy row oracle vs. the morsel-driven vectorized engine).
-struct E2eEngineReport {
-  std::string label;  ///< "row-oracle", "vectorized"
-  size_t queries = 0;
-  size_t rows = 0;  ///< total result rows produced
-  double seconds = 0.0;
-  double queries_per_second = 0.0;
-};
-
 /// \brief One concurrent-stream configuration of the reuse loop: the same
 /// multi-client query stream served without any reuse machinery
 /// ("uncached") and through ShardedCatalog::ProbeAdd + OnlineResultCache
@@ -240,14 +230,10 @@ struct E2eStreamReport {
 };
 
 /// \brief Writes the end-to-end benchmark artifact (BENCH_e2e.json): the
-/// single-stream engine comparison (row oracle vs. vectorized, with the
-/// vectorized-over-oracle speedup), the concurrent uncached-vs-cached
-/// stream reports with the cached-over-uncached throughput speedup, and the
-/// closing catalog/cache state; flushes trace artifacts when GEQO_TRACE is
-/// enabled.
-void WriteE2eArtifact(const std::vector<E2eEngineReport>& engines,
-                      double engine_speedup,
-                      const std::vector<E2eStreamReport>& streams,
+/// concurrent uncached-vs-cached stream reports with the
+/// cached-over-uncached throughput speedup, and the closing catalog/cache
+/// state; flushes trace artifacts when GEQO_TRACE is enabled.
+void WriteE2eArtifact(const std::vector<E2eStreamReport>& streams,
                       double cached_speedup, size_t catalog_entries,
                       size_t catalog_classes, size_t cache_used_bytes,
                       size_t cache_budget_bytes);

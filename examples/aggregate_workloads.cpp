@@ -14,8 +14,7 @@
 #include <cstdio>
 
 #include "core/geqo_system.h"
-#include "exec/database.h"
-#include "exec/executor.h"
+#include "exec/session.h"
 #include "parser/parser.h"
 #include "verify/verifier.h"
 #include "workload/schemas.h"
@@ -70,9 +69,9 @@ int main() {
   data_options.default_rows = 200;
   data_options.key_cardinality = 10;
   const geqo::Database db = geqo::Database::Generate(catalog, data_options);
-  geqo::Executor executor(&db);
-  auto rows1 = executor.Execute(*q1);
-  auto rows2 = executor.Execute(*q2);
+  const geqo::exec::ExecutionSession session(&db);
+  auto rows1 = session.Execute(*q1);
+  auto rows2 = session.Execute(*q2);
   GEQO_CHECK(rows1.ok() && rows2.ok());
   std::printf("execution: %zu groups vs %zu groups, bags %s\n\n",
               rows1->num_rows(), rows2->num_rows(),

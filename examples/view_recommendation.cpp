@@ -19,7 +19,7 @@
 #include <map>
 
 #include "core/geqo_system.h"
-#include "exec/executor.h"
+#include "exec/session.h"
 #include "plan/subexpr.h"
 #include "workload/schemas.h"
 
@@ -88,7 +88,7 @@ int main() {
   data_options.rows_per_table["catalog_sales"] = 1500;
   data_options.rows_per_table["web_sales"] = 1200;
   const geqo::Database db = geqo::Database::Generate(catalog, data_options);
-  geqo::Executor executor(&db);
+  const geqo::exec::ExecutionSession session(&db);
 
   struct Recommendation {
     size_t representative;
@@ -98,12 +98,13 @@ int main() {
   std::vector<Recommendation> recommendations;
   for (const auto& [root, members] : classes) {
     if (members.size() < 2) continue;
-    geqo::ExecStats stats;
-    const auto rows = executor.Execute(workload[members[0]], &stats);
+    geqo::exec::ExecMetrics metrics;
+    const auto rows = session.Execute(workload[members[0]], &metrics);
     if (!rows.ok()) continue;  // e.g. outer-join subexpression
+    const double seconds = metrics.compile_seconds + metrics.execute_seconds;
     recommendations.push_back(Recommendation{
         members[0], members.size(),
-        stats.seconds * static_cast<double>(members.size() - 1)});
+        seconds * static_cast<double>(members.size() - 1)});
   }
   std::sort(recommendations.begin(), recommendations.end(),
             [](const Recommendation& a, const Recommendation& b) {

@@ -134,8 +134,9 @@ class ColumnVector {
 /// `num_rows` physical rows live in every column; when `all` is false only
 /// the physical rows listed (ascending) in `sel` are logically present.
 /// `bindings[c]` names column c as alias.column (empty alias for computed /
-/// projected pseudo-columns), mirroring the legacy executor's Intermediate
-/// bindings so expression resolution behaves identically.
+/// projected pseudo-columns), mirroring the row oracle's Intermediate
+/// bindings (tests/oracle/row_executor.h) so expression resolution behaves
+/// identically.
 struct Batch {
   std::vector<ColumnRef> bindings;
   std::vector<ColumnVector> columns;
@@ -152,7 +153,7 @@ struct Batch {
   }
 };
 
-/// Index of \p ref in \p bindings (first match, like the legacy executor's
+/// Index of \p ref in \p bindings (first match, like the row oracle's
 /// resolution order), or -1 when unbound.
 inline int FindBinding(const std::vector<ColumnRef>& bindings,
                        const ColumnRef& ref) {

@@ -15,8 +15,8 @@
 
 /// \file pipeline.cc
 /// Semantics contract: every operator here must be observationally identical
-/// to the legacy row-at-a-time Executor (exec/executor.cc), which stays in
-/// the tree as the parity oracle. That covers value semantics (numeric
+/// to the row-at-a-time RowExecutor, the test-only parity oracle
+/// (tests/oracle/row_executor.cc). That covers value semantics (numeric
 /// comparisons through doubles, Value::Hash agreement between 3 and 3.0),
 /// error laziness (evaluation errors fire only when rows actually flow), and
 /// floating-point accumulation order (aggregate sums fold sequentially over
@@ -36,7 +36,7 @@ static_assert(static_cast<int>(CompareOp::kEq) == 0 &&
 
 /// Binding context of a nested-loop probe: the left (outer) row, resolved
 /// before the build batch's own bindings — the same first-match order the
-/// legacy executor gets from concatenating left and right bindings.
+/// row oracle gets from concatenating left and right bindings.
 struct OuterRow {
   const std::vector<ColumnRef>* bindings = nullptr;
   const Batch* batch = nullptr;
@@ -44,7 +44,7 @@ struct OuterRow {
 };
 
 // ---------------------------------------------------------------------------
-// Static typing (compile time). The legacy executor discovers type errors
+// Static typing (compile time). The row oracle discovers type errors
 // lazily, row by row; these helpers discover the same errors statically so
 // compiled ops can carry them and raise only when rows flow.
 // ---------------------------------------------------------------------------
@@ -263,8 +263,8 @@ Status FilterIndices(const Comparison& cmp, bool string_compare,
 }
 
 /// Row-at-a-time expression evaluation over a batch row — the aggregation
-/// fold's boundary back into Value land. Verbatim port of
-/// Executor::Evaluate, so accumulation inputs are bit-identical.
+/// fold's boundary back into Value land. Verbatim port of the row oracle's
+/// RowExecutor::Evaluate, so accumulation inputs are bit-identical.
 Result<Value> EvalScalar(const ExprPtr& expr, const Batch& batch,
                          uint32_t row) {
   switch (expr->kind()) {
@@ -796,7 +796,7 @@ Result<std::vector<ColumnInfo>> CompiledQuery::CompileInto(
       }
       // Probe side continues the current pipeline. Compiled before the build
       // side so eager errors (unknown table, nested outer join) surface in
-      // the legacy executor's left-then-right order.
+      // the row oracle's left-then-right order.
       GEQO_ASSIGN_OR_RETURN(std::vector<ColumnInfo> left_schema,
                             CompileInto(database, plan->child(0), current));
 

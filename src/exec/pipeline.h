@@ -22,7 +22,8 @@
 /// operator chain. Per-morsel outputs are buffered and consumed by sinks in
 /// morsel order, which makes the engine's output — including floating-point
 /// aggregate sums — bit-identical across thread counts and identical to the
-/// sequential row-at-a-time oracle (see DESIGN.md §12).
+/// sequential row-at-a-time test oracle, tests/oracle/row_executor.h (see
+/// DESIGN.md §12).
 ///
 /// Most users should not include this header directly; exec/session.h wraps
 /// it in the public ExecutionSession / QueryExecution API.
@@ -47,10 +48,10 @@ struct Source {
 /// \brief One streaming operator of a pipeline.
 ///
 /// `static_error` carries a compile-time-detected evaluation error (unbound
-/// column, arithmetic over strings, numeric-vs-string comparison). The
-/// legacy executor raises these lazily — only when a row is actually
-/// evaluated — so the compiled op stores the error and raises it at run time
-/// the moment rows reach the op, which keeps empty-input behavior identical.
+/// column, arithmetic over strings, numeric-vs-string comparison). The row
+/// oracle raises these lazily — only when a row is actually evaluated — so
+/// the compiled op stores the error and raises it at run time the moment
+/// rows reach the op, which keeps empty-input behavior identical.
 struct CompiledOp {
   enum class Tag { kFilter, kProject, kHashProbe, kNlProbe };
   Tag tag = Tag::kFilter;
@@ -66,7 +67,8 @@ struct CompiledOp {
   std::vector<ColumnInfo> out_columns;  ///< schema after this op
 };
 
-/// \brief Spec of an aggregation sink (mirrors the legacy fold exactly).
+/// \brief Spec of an aggregation sink (mirrors the row oracle's fold
+/// exactly).
 struct AggregateSpec {
   std::vector<OutputColumn> group_by;
   std::vector<AggregateExpr> aggregates;
@@ -118,7 +120,7 @@ class CompiledQuery {
  public:
   /// Decomposes \p plan into pipelines over \p database. Fails eagerly on
   /// unknown tables and unsupported operators (outer joins), exactly like
-  /// the legacy executor.
+  /// the row oracle.
   static Result<std::unique_ptr<CompiledQuery>> Compile(
       const Database& database, const PlanPtr& plan);
 
@@ -128,7 +130,7 @@ class CompiledQuery {
   Status Run(size_t morsel_rows, ExecMetrics* metrics,
              std::vector<Batch>* out);
 
-  /// Output column names, legacy-style: alias.column, bare name for
+  /// Output column names, RowSet-style: alias.column, bare name for
   /// computed columns.
   const std::vector<std::string>& column_names() const {
     return column_names_;

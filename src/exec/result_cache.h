@@ -4,7 +4,7 @@
 #include <map>
 #include <vector>
 
-#include "exec/executor.h"
+#include "exec/row_set.h"
 
 /// \file result_cache.h
 /// Budgeted result caching (§7.7): given a workload whose equivalence

@@ -6,12 +6,12 @@
 #include "plan/value.h"
 
 /// \file row_set.h
-/// The materialized query-result currency shared by both executors: the
-/// legacy row-at-a-time `Executor` (kept as the ground-truth oracle) and the
-/// morsel-driven vectorized engine (`exec::ExecutionSession`). Everything
-/// downstream of execution — property tests, the §7.7 result-caching study,
-/// the e2e bench — exchanges results in this shape, which is what makes
-/// engine-parity testing (`BagEquals`) possible.
+/// The materialized query-result currency of the vectorized engine
+/// (`exec::ExecutionSession::Execute`, `QueryExecution::Materialize`).
+/// Everything downstream of execution — the §7.7 result-caching study, the
+/// e2e bench, the property tests — exchanges results in this shape, and so
+/// does the tests' row-at-a-time oracle (tests/oracle/row_executor.h), which
+/// is what makes engine-parity testing (`BagEquals`) possible.
 
 namespace geqo {
 
@@ -28,13 +28,6 @@ struct RowSet {
 
   /// Bag (multiset) equality of tuples, ignoring row order and names.
   bool BagEquals(const RowSet& other) const;
-};
-
-/// \brief Execution statistics for one query (legacy row engine).
-struct ExecStats {
-  size_t rows_scanned = 0;
-  size_t rows_output = 0;
-  double seconds = 0.0;
 };
 
 }  // namespace geqo

@@ -25,10 +25,10 @@
 ///     }
 ///
 /// `Materialize()` (or the one-shot `ExecutionSession::Execute`) converts the
-/// remaining stream into the legacy row-oriented RowSet, which stays the
-/// interchange currency with the caching and catalog layers. The legacy
-/// `Executor` remains in the tree as the row-at-a-time parity oracle; new
-/// code should go through this API.
+/// remaining stream into the row-oriented RowSet, which stays the
+/// interchange currency with the caching and catalog layers. This is the
+/// library's one execution engine; the row-at-a-time evaluator it is checked
+/// against is a test-only oracle (tests/oracle/row_executor.h).
 
 namespace geqo::exec {
 
@@ -49,9 +49,9 @@ class QueryExecution {
   /// first call executes the query's pipelines.
   Result<const Batch*> NextBatch();
 
-  /// Drains the remaining stream into a legacy RowSet (all batches when
-  /// called before any NextBatch()). Column names follow the legacy
-  /// executor's convention: alias.column, bare names for computed columns.
+  /// Drains the remaining stream into a RowSet (all batches when called
+  /// before any NextBatch()). Column names follow the RowSet convention:
+  /// alias.column, bare names for computed columns.
   Result<RowSet> Materialize();
 
   const std::vector<std::string>& column_names() const {
@@ -87,7 +87,7 @@ class ExecutionSession {
                             SessionOptions options = SessionOptions{});
 
   /// Compiles \p plan into a streamable execution. Fails eagerly on unknown
-  /// tables and unsupported operators, like the legacy executor.
+  /// tables and unsupported operators, like the row oracle.
   Result<std::unique_ptr<QueryExecution>> Prepare(const PlanPtr& plan) const;
 
   /// One-shot convenience: Prepare + run + Materialize. When \p metrics is

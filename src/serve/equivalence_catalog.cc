@@ -50,7 +50,7 @@ std::vector<size_t> EquivalenceCatalog::ClassMembers(size_t id) const {
   return members;
 }
 
-Result<EquivalenceCatalog::QueryContext> EquivalenceCatalog::PrepareQuery(
+Result<EquivalenceCatalog::QueryContext> EquivalenceCatalog::DescribeQuery(
     const CatalogComponents& wiring, const PlanPtr& plan) {
   const Catalog& db_catalog = *wiring.db_catalog;
   QueryContext query;
@@ -76,15 +76,18 @@ Result<EquivalenceCatalog::QueryContext> EquivalenceCatalog::PrepareQuery(
   return query;
 }
 
-Result<std::vector<float>> EquivalenceCatalog::EmbedQuery(
+Result<EquivalenceCatalog::QueryContext> EquivalenceCatalog::PrepareQuery(
     const CatalogComponents& wiring, const VmfOptions& vmf_options,
-    const QueryContext& query) {
+    const PlanPtr& plan) {
+  GEQO_ASSIGN_OR_RETURN(QueryContext query, DescribeQuery(wiring, plan));
   // The embedding uses the singleton agnostic map (see EmbedSingle): it
-  // depends only on the plan, so it is computed exactly once per entry for
-  // the catalog's whole lifetime, across any number of later Adds.
+  // depends only on the plan, so it is computed exactly once per query —
+  // the VMF stage searches with it and an add indexes it — and an entry's
+  // embedding never changes across any number of later Adds.
   const VectorMatchingFilter vmf(wiring.model, wiring.instance_layout,
                                  wiring.agnostic_layout, vmf_options);
-  return vmf.EmbedSingle(query.encoded);
+  GEQO_ASSIGN_OR_RETURN(query.embedding, vmf.EmbedSingle(query.encoded));
+  return query;
 }
 
 void EquivalenceCatalog::UpdateGauges() const {
@@ -95,9 +98,8 @@ void EquivalenceCatalog::UpdateGauges() const {
   registry.GetGauge("serve.memo_size").Set(static_cast<double>(memo_.size()));
 }
 
-size_t EquivalenceCatalog::AddWithEmbedding(
-    QueryContext query, const std::vector<float>& embedding) {
-  const size_t id = index_->Add(embedding);
+size_t EquivalenceCatalog::AddWithEmbedding(QueryContext query) {
+  const size_t id = index_->Add(query.embedding);
   GEQO_CHECK(id == entries_.size());
   sf_groups_[query.signature].push_back(id);
   entries_.push_back(Entry{std::move(query.plan), query.canonical_hash,
@@ -139,13 +141,9 @@ Result<EquivalenceCatalog::FilterOutcome> EquivalenceCatalog::RunFilters(
   StageScope vmf_scope("serve.vmf");
   std::vector<size_t> candidates;
   if (opt.use_vmf && !pool.empty()) {
-    const VectorMatchingFilter vmf(wiring_.model, wiring_.instance_layout,
-                                   wiring_.agnostic_layout, opt.vmf);
-    GEQO_ASSIGN_OR_RETURN(const std::vector<float> embedding,
-                          vmf.EmbedSingle(query.encoded));
     std::vector<size_t> hits;
     for (const ann::Neighbor& neighbor :
-         index_->SearchRadius(embedding.data(), opt.vmf.radius)) {
+         index_->SearchRadius(query.embedding.data(), opt.vmf.radius)) {
       hits.push_back(neighbor.id);
     }
     std::sort(hits.begin(), hits.end());
@@ -414,8 +412,7 @@ Result<std::unique_ptr<EquivalenceCatalog>> EquivalenceCatalog::ImportSnapshot(
   // below and memoized verdicts from the memo section — nothing is
   // re-embedded or re-proved.
   for (size_t i = 0; i < plans.size(); ++i) {
-    GEQO_ASSIGN_OR_RETURN(QueryContext query,
-                          PrepareQuery(wiring, plans[i]));
+    GEQO_ASSIGN_OR_RETURN(QueryContext query, DescribeQuery(wiring, plans[i]));
     if (query.canonical_hash != hashes[i]) {
       return Status::InvalidArgument(
           "catalog snapshot: plan " + std::to_string(i) +

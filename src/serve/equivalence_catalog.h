@@ -112,6 +112,9 @@ class EquivalenceCatalog {
     uint64_t check_hash = 0;
     SfSignature signature;
     EncodedPlan encoded;
+    /// EMF-trunk embedding under the singleton agnostic map: the VMF probe
+    /// key, and on an add the vector inserted into the index.
+    std::vector<float> embedding;
   };
 
   /// Filter-cascade output.
@@ -155,20 +158,21 @@ class EquivalenceCatalog {
     size_t collisions = 0;
   };
 
-  /// Canonicalizes, hashes, signs, and instance-encodes \p plan. Reads only
-  /// the immutable wiring, so it runs with no lock at all.
+  /// The one preparation step of every probe and add: canonicalizes,
+  /// hashes, signs, instance-encodes, and embeds \p plan through the EMF
+  /// trunk (singleton agnostic map). Reads only the immutable wiring, so it
+  /// runs with no lock at all.
   static Result<QueryContext> PrepareQuery(const CatalogComponents& wiring,
+                                           const VmfOptions& vmf,
                                            const PlanPtr& plan);
-  /// Embeds the prepared query through the EMF trunk (singleton agnostic
-  /// map) — the expensive half of an add, also lock-free.
-  static Result<std::vector<float>> EmbedQuery(const CatalogComponents& wiring,
-                                               const VmfOptions& vmf,
-                                               const QueryContext& query);
+  /// PrepareQuery without the embedding: the cheap per-entry state a
+  /// snapshot import re-derives (the embeddings come from the segment).
+  static Result<QueryContext> DescribeQuery(const CatalogComponents& wiring,
+                                            const PlanPtr& plan);
 
-  /// Inserts a prepared entry with its pre-computed embedding; returns the
-  /// new local id.
-  size_t AddWithEmbedding(QueryContext query,
-                          const std::vector<float>& embedding);
+  /// Inserts a prepared entry, indexing its embedding; returns the new
+  /// local id.
+  size_t AddWithEmbedding(QueryContext query);
   /// Runs SF -> VMF -> EMF, appending the three stage reports to \p stages.
   Result<FilterOutcome> RunFilters(const QueryContext& query,
                                    std::vector<StageReport>* stages) const;

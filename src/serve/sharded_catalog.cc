@@ -191,24 +191,11 @@ void ShardedCatalog::UpdateQueueGauge() const {
       .Set(static_cast<double>(queue_.outstanding()));
 }
 
-Result<ShardedCatalog::PreparedAdd> ShardedCatalog::PrepareAdd(
-    const PlanPtr& plan) const {
-  PreparedAdd out;
-  GEQO_ASSIGN_OR_RETURN(out.query,
-                        EquivalenceCatalog::PrepareQuery(wiring_, plan));
-  GEQO_ASSIGN_OR_RETURN(
-      out.embedding,
-      EquivalenceCatalog::EmbedQuery(wiring_, options_.catalog.pipeline.vmf,
-                                     out.query));
-  return out;
-}
-
 size_t ShardedCatalog::InsertLocked(Shard& shard, size_t sid,
-                                    PreparedAdd prepared) {
-  const uint64_t canonical_hash = prepared.query.canonical_hash;
-  const uint64_t check_hash = prepared.query.check_hash;
-  const size_t local = shard.catalog->AddWithEmbedding(
-      std::move(prepared.query), prepared.embedding);
+                                    EquivalenceCatalog::QueryContext query) {
+  const uint64_t canonical_hash = query.canonical_hash;
+  const uint64_t check_hash = query.check_hash;
+  const size_t local = shard.catalog->AddWithEmbedding(std::move(query));
   size_t gid = 0;
   {
     WriterLock map_lock(map_mu_);
@@ -226,18 +213,20 @@ size_t ShardedCatalog::InsertLocked(Shard& shard, size_t sid,
   return local;
 }
 
-size_t ShardedCatalog::CommitAdd(PreparedAdd prepared) {
-  const size_t sid = ShardOf(prepared.query.signature);
+size_t ShardedCatalog::CommitAdd(EquivalenceCatalog::QueryContext query) {
+  const size_t sid = ShardOf(query.signature);
   Shard& shard = *shards_[sid];
   WriterLock lock(shard.mu);
-  return shard.to_global[InsertLocked(shard, sid, std::move(prepared))];
+  return shard.to_global[InsertLocked(shard, sid, std::move(query))];
 }
 
 Result<size_t> ShardedCatalog::Add(const PlanPtr& plan) {
   GEQO_RETURN_NOT_OK(options_status_);
   obs::Span span("serve.ShardedAdd");
-  GEQO_ASSIGN_OR_RETURN(PreparedAdd prepared, PrepareAdd(plan));
-  return CommitAdd(std::move(prepared));
+  GEQO_ASSIGN_OR_RETURN(EquivalenceCatalog::QueryContext query,
+                        EquivalenceCatalog::PrepareQuery(
+                            wiring_, options_.catalog.pipeline.vmf, plan));
+  return CommitAdd(std::move(query));
 }
 
 Result<std::vector<size_t>> ShardedCatalog::AddBatch(
@@ -247,10 +236,13 @@ Result<std::vector<size_t>> ShardedCatalog::AddBatch(
   const size_t n = plans.size();
   // Prepare + embed (the expensive part) in parallel on the global pool;
   // commit sequentially in input order so ids are deterministic.
-  std::vector<std::optional<PreparedAdd>> items(n);
+  std::vector<std::optional<EquivalenceCatalog::QueryContext>> items(n);
   std::vector<Status> statuses(n);
   ParallelFor(0, n, [&](size_t i) {
-    Result<PreparedAdd> prepared = PrepareAdd(plans[i]);
+    Result<EquivalenceCatalog::QueryContext> prepared =
+        EquivalenceCatalog::PrepareQuery(wiring_,
+                                         options_.catalog.pipeline.vmf,
+                                         plans[i]);
     if (prepared.ok()) {
       items[i] = std::move(*prepared);
     } else {
@@ -337,13 +329,15 @@ void ShardedCatalog::EnqueueTasks(std::vector<VerifyTask> tasks) {
 
 Result<ShardedProbeResult> ShardedCatalog::Probe(const PlanPtr& plan) {
   GEQO_RETURN_NOT_OK(options_status_);
-  // Span + stage clock at entry: PrepareQuery's canonicalize/encode cost is
-  // part of the reported probe latency (see ShardedProbeResult::seconds).
+  // Span + stage clock at entry: PrepareQuery's canonicalize/encode/embed
+  // cost is part of the reported probe latency (see
+  // ShardedProbeResult::seconds).
   obs::Span span("serve.ShardedProbe");
   StageReport prepare = MakeStage("prepare", true);
   StageScope prepare_scope("serve.prepare");
   Result<EquivalenceCatalog::QueryContext> prepared =
-      EquivalenceCatalog::PrepareQuery(wiring_, plan);
+      EquivalenceCatalog::PrepareQuery(wiring_, options_.catalog.pipeline.vmf,
+                                       plan);
   GEQO_RETURN_NOT_OK(prepared.status());
   prepare.pairs_in = 1;
   prepare.pairs_out = 1;
@@ -382,27 +376,30 @@ Result<ShardedProbeAddResult> ShardedCatalog::ProbeAdd(const PlanPtr& plan) {
   obs::Span span("serve.ShardedProbeAdd");
   StageReport prepare = MakeStage("prepare", true);
   StageScope prepare_scope("serve.prepare");
-  Result<PreparedAdd> prepared = PrepareAdd(plan);  // embed outside the lock
+  // Embed outside the lock.
+  Result<EquivalenceCatalog::QueryContext> prepared =
+      EquivalenceCatalog::PrepareQuery(wiring_, options_.catalog.pipeline.vmf,
+                                       plan);
   GEQO_RETURN_NOT_OK(prepared.status());
   prepare.pairs_in = 1;
   prepare.pairs_out = 1;
   prepare_scope.Finish(&prepare);
 
-  const size_t sid = ShardOf(prepared->query.signature);
+  const size_t sid = ShardOf(prepared->signature);
   Shard& shard = *shards_[sid];
   ShardedProbeAddResult result;
   result.probe.shard = sid;
   result.probe.stages.push_back(std::move(prepare));
-  const PlanPtr query_plan = prepared->query.plan;
-  const uint64_t query_hash = prepared->query.canonical_hash;
-  const uint64_t query_check = prepared->query.check_hash;
+  const PlanPtr query_plan = prepared->plan;
+  const uint64_t query_hash = prepared->canonical_hash;
+  const uint64_t query_check = prepared->check_hash;
   EquivalenceCatalog::ReadProbeResult read;
   std::vector<VerifyTask> tasks;
   {
     // Probe + insert + sync unions as one exclusive critical section on the
     // routed shard: the probe's verdicts and the join set stay consistent.
     WriterLock lock(shard.mu);
-    GEQO_ASSIGN_OR_RETURN(read, shard.catalog->ProbeReadOnly(prepared->query));
+    GEQO_ASSIGN_OR_RETURN(read, shard.catalog->ProbeReadOnly(*prepared));
     std::set<size_t> roots;
     for (const size_t id : read.proven_ids) {
       roots.insert(shard.catalog->classes_.Find(id));
@@ -906,16 +903,18 @@ Result<size_t> ShardedCatalog::ReplayAdd(const PlanPtr& plan,
                                          uint64_t canonical_hash,
                                          uint64_t check_hash) {
   GEQO_RETURN_NOT_OK(options_status_);
-  GEQO_ASSIGN_OR_RETURN(PreparedAdd prepared, PrepareAdd(plan));
-  if (prepared.query.canonical_hash != canonical_hash ||
-      prepared.query.check_hash != check_hash) {
+  GEQO_ASSIGN_OR_RETURN(EquivalenceCatalog::QueryContext query,
+                        EquivalenceCatalog::PrepareQuery(
+                            wiring_, options_.catalog.pipeline.vmf, plan));
+  if (query.canonical_hash != canonical_hash ||
+      query.check_hash != check_hash) {
     return Status::InvalidArgument(
         "catalog store replay: plan does not match the logged add record "
-        "(canonical hash " + std::to_string(prepared.query.canonical_hash) +
+        "(canonical hash " + std::to_string(query.canonical_hash) +
         ", log expects " + std::to_string(canonical_hash) +
         ") — plans must be passed in Add order");
   }
-  return CommitAdd(std::move(prepared));
+  return CommitAdd(std::move(query));
 }
 
 Status ShardedCatalog::ReplayVerdict(size_t shard, const CheckedPair& pair,

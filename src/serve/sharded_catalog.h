@@ -286,25 +286,18 @@ class ShardedCatalog {
         GEQO_GUARDED_BY(mu);  ///< local id -> global id (ascending)
   };
 
-  /// Plan plus its precomputed embedding, ready for the locked insert.
-  struct PreparedAdd {
-    EquivalenceCatalog::QueryContext query;
-    std::vector<float> embedding;
-  };
-
   /// RAII shared lock over every shard in index order (see the .cc).
   class AllShardsReadLock;
 
   size_t ShardOf(const SfSignature& signature) const;
-  /// Lock-free preparation + embedding over the shared wiring.
-  Result<PreparedAdd> PrepareAdd(const PlanPtr& plan) const;
   /// Inserts into \p shard (index, classes, global map) and journals the
   /// add; returns the new shard-local id. The caller holds the shard's
   /// unique lock.
-  size_t InsertLocked(Shard& shard, size_t sid, PreparedAdd prepared)
+  size_t InsertLocked(Shard& shard, size_t sid,
+                      EquivalenceCatalog::QueryContext query)
       GEQO_REQUIRES(shard.mu);
   /// Insert under the shard's unique lock; returns the new global id.
-  size_t CommitAdd(PreparedAdd prepared);
+  size_t CommitAdd(EquivalenceCatalog::QueryContext query);
   /// Sets the stage-sum latency and records the probe's serve.* metrics.
   void FinishProbe(ShardedProbeResult* result) const;
   /// Rewrites a shard-local ReadProbeResult into \p out with global ids and

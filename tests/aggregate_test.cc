@@ -2,7 +2,7 @@
 
 #include "encode/agnostic.h"
 #include "exec/database.h"
-#include "exec/executor.h"
+#include "oracle/row_executor.h"
 #include "pipeline/baselines.h"
 #include "test_util.h"
 #include "verify/verifier.h"
@@ -28,7 +28,7 @@ class AggregateTest : public ::testing::Test {
     options.key_cardinality = 8;
     options.seed = 0xA66;
     database_ = std::make_unique<Database>(Database::Generate(catalog_, options));
-    executor_ = std::make_unique<Executor>(database_.get());
+    executor_ = std::make_unique<RowExecutor>(database_.get());
   }
 
   RowSet Run(std::string_view sql) {
@@ -39,7 +39,7 @@ class AggregateTest : public ::testing::Test {
 
   Catalog catalog_;
   std::unique_ptr<Database> database_;
-  std::unique_ptr<Executor> executor_;
+  std::unique_ptr<RowExecutor> executor_;
 };
 
 TEST_F(AggregateTest, ParserBuildsAggregateNode) {
@@ -168,7 +168,7 @@ TEST_F(AggregateTest, RewriteVariantsProduceIdenticalResults) {
   DataGenOptions data_options;
   data_options.default_rows = 100;
   const Database db = Database::Generate(tpch, data_options);
-  Executor executor(&db);
+  RowExecutor executor(&db);
   GeneratorOptions options;
   options.aggregate_probability = 1.0;
   QueryGenerator generator(&tpch, options);

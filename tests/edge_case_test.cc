@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "exec/database.h"
-#include "exec/executor.h"
+#include "oracle/row_executor.h"
 #include "plan/subexpr.h"
 #include "test_util.h"
 #include "verify/verifier.h"
@@ -80,7 +80,7 @@ TEST(RebuildPlanTest, DisconnectedJoinGraphFallsBackToCrossJoin) {
   DataGenOptions options;
   options.default_rows = 20;
   const Database db = Database::Generate(catalog, options);
-  Executor executor(&db);
+  RowExecutor executor(&db);
   const auto rows = executor.Execute(rebuilt);
   ASSERT_TRUE(rows.ok());
   // Selection applies on top of the 20 x 20 cross product.
@@ -106,7 +106,7 @@ TEST(ExecutorEdgeTest, EmptySelectionYieldsEmptyAggregates) {
   DataGenOptions options;
   options.default_rows = 30;
   const Database db = Database::Generate(catalog, options);
-  Executor executor(&db);
+  RowExecutor executor(&db);
   // Infeasible predicate: zero input rows, zero output groups.
   const auto rows = executor.Execute(MustParse(
       "SELECT a.joinkey, COUNT(*) AS n FROM a WHERE a.val > 5 AND a.val < 3 "
@@ -121,7 +121,7 @@ TEST(ExecutorEdgeTest, DivisionByZeroIsAnError) {
   DataGenOptions options;
   options.default_rows = 5;
   const Database db = Database::Generate(catalog, options);
-  Executor executor(&db);
+  RowExecutor executor(&db);
   const auto rows = executor.Execute(
       MustParse("SELECT a.x / 0 AS boom FROM a", catalog));
   EXPECT_FALSE(rows.ok());
@@ -132,7 +132,7 @@ TEST(ExecutorEdgeTest, UnknownTableIsAnError) {
   DataGenOptions options;
   options.default_rows = 5;
   const Database db = Database::Generate(catalog, options);
-  Executor executor(&db);
+  RowExecutor executor(&db);
   // Build a plan referencing a table the database does not hold.
   const auto rows = executor.Execute(PlanNode::Scan("ghost", "g"));
   EXPECT_FALSE(rows.ok());

@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "exec/database.h"
-#include "exec/executor.h"
 #include "exec/result_cache.h"
+#include "oracle/row_executor.h"
 #include "test_util.h"
 
 namespace geqo {
@@ -19,7 +19,7 @@ class ExecTest : public ::testing::Test {
     options.key_cardinality = 10;  // dense keys: joins produce matches
     options.seed = 999;
     db_ = std::make_unique<Database>(Database::Generate(catalog_, options));
-    executor_ = std::make_unique<Executor>(db_.get());
+    executor_ = std::make_unique<RowExecutor>(db_.get());
   }
 
   RowSet Run(std::string_view sql) {
@@ -30,7 +30,7 @@ class ExecTest : public ::testing::Test {
 
   Catalog catalog_;
   std::unique_ptr<Database> db_;
-  std::unique_ptr<Executor> executor_;
+  std::unique_ptr<RowExecutor> executor_;
 };
 
 TEST_F(ExecTest, ScanReturnsAllRows) {

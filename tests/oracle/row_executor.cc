@@ -1,16 +1,16 @@
-#include "exec/executor.h"
+#include "oracle/row_executor.h"
 
 #include <algorithm>
 #include <unordered_map>
 
 #include "common/hash.h"
-
 #include "common/stopwatch.h"
 
 namespace geqo {
 
-Result<Value> Executor::Evaluate(const ExprPtr& expr, const Intermediate& input,
-                                 const std::vector<Value>& row) const {
+Result<Value> RowExecutor::Evaluate(const ExprPtr& expr,
+                                    const Intermediate& input,
+                                    const std::vector<Value>& row) const {
   switch (expr->kind()) {
     case ExprKind::kLiteral:
       return expr->value();
@@ -47,9 +47,9 @@ Result<Value> Executor::Evaluate(const ExprPtr& expr, const Intermediate& input,
   }
 }
 
-Result<bool> Executor::EvaluatePredicate(const Comparison& cmp,
-                                         const Intermediate& input,
-                                         const std::vector<Value>& row) const {
+Result<bool> RowExecutor::EvaluatePredicate(
+    const Comparison& cmp, const Intermediate& input,
+    const std::vector<Value>& row) const {
   GEQO_ASSIGN_OR_RETURN(const Value left, Evaluate(cmp.lhs, input, row));
   GEQO_ASSIGN_OR_RETURN(const Value right, Evaluate(cmp.rhs, input, row));
   if (left.is_numeric() != right.is_numeric()) {
@@ -73,8 +73,8 @@ Result<bool> Executor::EvaluatePredicate(const Comparison& cmp,
   return Status::Internal("unknown comparison operator");
 }
 
-Result<Executor::Intermediate> Executor::Run(const PlanPtr& plan,
-                                             ExecStats* stats) {
+Result<RowExecutor::Intermediate> RowExecutor::Run(const PlanPtr& plan,
+                                                   ExecStats* stats) {
   switch (plan->kind()) {
     case OpKind::kScan: {
       GEQO_ASSIGN_OR_RETURN(const TableData* data,
@@ -312,7 +312,7 @@ Result<Executor::Intermediate> Executor::Run(const PlanPtr& plan,
   return Status::Internal("unknown operator kind");
 }
 
-Result<RowSet> Executor::Execute(const PlanPtr& plan, ExecStats* stats) {
+Result<RowSet> RowExecutor::Execute(const PlanPtr& plan, ExecStats* stats) {
   Stopwatch watch;
   ExecStats local;
   GEQO_ASSIGN_OR_RETURN(Intermediate result, Run(plan, &local));

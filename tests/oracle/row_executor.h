@@ -6,19 +6,29 @@
 #include "exec/row_set.h"
 #include "plan/plan.h"
 
-/// \file executor.h
-/// A row-at-a-time SPJ evaluator over the in-memory Database: scans,
-/// selections, hash/nested-loop joins, and projections. Kept as the
-/// ground-truth oracle: property tests label equivalence with it, and the
-/// vectorized engine (exec/session.h) must stay BagEquals-identical to it
-/// on every covered workload. New code should prefer exec::ExecutionSession.
+/// \file row_executor.h
+/// The row-at-a-time SPJ+aggregate evaluator over the in-memory Database:
+/// scans, selections, hash/nested-loop joins, aggregation and projections,
+/// one tuple at a time. It is the ground-truth oracle of the test suites,
+/// not part of the library: property tests label equivalence with it, and
+/// the vectorized engine (exec/session.h) must stay BagEquals-identical to
+/// it on every covered workload. Built as the test-only `geqo_row_oracle`
+/// target; library, bench and example code runs queries through
+/// exec::ExecutionSession.
 
 namespace geqo {
 
-/// \brief Evaluates logical plans against a Database.
-class Executor {
+/// \brief Execution statistics for one oracle query.
+struct ExecStats {
+  size_t rows_scanned = 0;
+  size_t rows_output = 0;
+  double seconds = 0.0;
+};
+
+/// \brief Evaluates logical plans against a Database, row by row.
+class RowExecutor {
  public:
-  explicit Executor(const Database* database) : database_(database) {}
+  explicit RowExecutor(const Database* database) : database_(database) {}
 
   /// Runs \p plan; fills \p stats if non-null.
   Result<RowSet> Execute(const PlanPtr& plan, ExecStats* stats = nullptr);

@@ -3,7 +3,7 @@
 #include "ann/hnsw.h"
 #include "encode/agnostic.h"
 #include "exec/database.h"
-#include "exec/executor.h"
+#include "oracle/row_executor.h"
 #include "plan/subexpr.h"
 #include "pipeline/baselines.h"
 #include "smt/solver.h"
@@ -106,7 +106,7 @@ TEST_P(VerifierSoundnessTest, EquivalentVerdictImpliesEqualBags) {
   Rng rng(GetParam() * 7919);
   QueryGenerator generator(&catalog_, GeneratorOptions());
   Rewriter rewriter(&catalog_);
-  Executor executor(database_.get());
+  RowExecutor executor(database_.get());
 
   // Mix of rewrite pairs (likely equivalent) and random pairs (likely not).
   for (int trial = 0; trial < 6; ++trial) {
@@ -161,7 +161,7 @@ TEST_P(VerifierSoundnessTest, SubexpressionsOfRewritesStayConsistent) {
   const std::vector<PlanPtr> queries = generator.GenerateMany(4, &rng);
   const std::vector<PlanPtr> subexpressions =
       EnumerateWorkloadSubexpressions(queries);
-  Executor executor(database_.get());
+  RowExecutor executor(database_.get());
   for (const PlanPtr& subexpression : subexpressions) {
     EXPECT_TRUE(executor.Execute(subexpression).ok());
   }

@@ -11,6 +11,7 @@
 #include "serve/union_find.h"
 #include "serve/verifier_memo.h"
 #include "serve_test_util.h"
+#include "tensor/tensor.h"
 #include "test_util.h"
 #include "workload/schemas.h"
 
@@ -174,6 +175,36 @@ TEST_F(ServeTest, ProbeLatencyCoversPreparationAndSumsStages) {
     stage_sum += stage.seconds;
   }
   EXPECT_DOUBLE_EQ(probe_add->probe.seconds, stage_sum);
+}
+
+TEST_F(ServeTest, ProbeAddEmbedsTheQueryOnce) {
+  // With the EMF stage off, the only tensor work of an add or a probe is the
+  // query's embedding. A ProbeAdd whose SF pool is non-empty (so its VMF
+  // stage searches the index) must dispatch exactly the kernels of a plain
+  // Add of the same plan: the VMF search reuses the prepared embedding.
+  GeqoOptions pipeline = System().options().pipeline;
+  pipeline.use_emf = false;
+  const std::vector<PlanPtr> plans = StreamPlans();
+  const auto dispatches = [] { return GetKernelStats().dispatches.load(); };
+
+  auto probed = Open(pipeline);
+  ASSERT_TRUE(probed->Add(plans[0]).ok());
+  const uint64_t before_probe_add = dispatches();
+  auto probe_add = probed->ProbeAdd(plans[1]);
+  const uint64_t probe_add_dispatches = dispatches() - before_probe_add;
+  ASSERT_TRUE(probe_add.ok()) << probe_add.status().ToString();
+  const StageReport& vmf = probe_add->probe.stages[2];
+  ASSERT_EQ(vmf.name, "vmf");
+  EXPECT_EQ(vmf.pairs_in, 1u);  // the SF pool held plans[0]
+
+  auto added = Open(pipeline);
+  ASSERT_TRUE(added->Add(plans[0]).ok());
+  const uint64_t before_add = dispatches();
+  ASSERT_TRUE(added->Add(plans[1]).ok());
+  const uint64_t add_dispatches = dispatches() - before_add;
+
+  EXPECT_GT(add_dispatches, 0u);
+  EXPECT_EQ(probe_add_dispatches, add_dispatches);
 }
 
 TEST_F(ServeTest, MemoCollisionIsDetectedAndNeverServesTheWrongVerdict) {

@@ -7,17 +7,18 @@
 
 #include "common/thread_pool.h"
 #include "exec/database.h"
-#include "exec/executor.h"
 #include "exec/session.h"
+#include "oracle/row_executor.h"
 #include "tensor/kernels/kernel_table.h"
 #include "test_util.h"
 #include "workload/generator.h"
+#include "workload/rewrite.h"
 #include "workload/schemas.h"
 
 /// \file vec_exec_test.cc
 /// Parity suite for the morsel-driven vectorized executor: every query must
-/// produce a bag identical to the legacy row-at-a-time Executor (the
-/// oracle), and the exact output — including floating-point aggregates —
+/// produce a bag identical to the row-at-a-time RowExecutor (the test-only
+/// oracle, tests/oracle/row_executor.h), and the exact output — including floating-point aggregates —
 /// must be byte-stable across thread counts and kernel ISAs.
 
 namespace geqo {
@@ -77,7 +78,7 @@ bool ExactlyEqual(const RowSet& a, const RowSet& b) {
 /// exact cross-config determinism of the vectorized output.
 void ExpectParity(const Database& db, const PlanPtr& plan,
                   size_t morsel_rows = 16) {
-  Executor oracle(&db);
+  RowExecutor oracle(&db);
   const Result<RowSet> expected = oracle.Execute(plan);
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
 
@@ -227,7 +228,7 @@ TEST_F(VecExecTest, MorselLargerThanTable) {
 TEST_F(VecExecTest, DivisionByZeroMatchesOracle) {
   const PlanPtr plan =
       MustParse("SELECT a.val / (a.val - a.val) AS q FROM a", catalog_);
-  Executor oracle(db_.get());
+  RowExecutor oracle(db_.get());
   const Result<RowSet> expected = oracle.Execute(plan);
   ASSERT_FALSE(expected.ok());
   const exec::ExecutionSession session(db_.get());
@@ -242,7 +243,7 @@ TEST_F(VecExecTest, DivisionByZeroNotRaisedWhenNoRowsFlow) {
   const PlanPtr plan = MustParse(
       "SELECT a.val / (a.val - a.val) AS q FROM a WHERE a.val > 100000",
       catalog_);
-  Executor oracle(db_.get());
+  RowExecutor oracle(db_.get());
   ASSERT_TRUE(oracle.Execute(plan).ok());
   const exec::ExecutionSession session(db_.get());
   const Result<RowSet> actual = session.Execute(plan);
@@ -253,7 +254,7 @@ TEST_F(VecExecTest, DivisionByZeroNotRaisedWhenNoRowsFlow) {
 TEST_F(VecExecTest, OuterJoinNotSupportedMatchesOracle) {
   const PlanPtr plan = MustParse(
       "SELECT a.x FROM a LEFT JOIN b ON a.joinkey = b.joinkey", catalog_);
-  Executor oracle(db_.get());
+  RowExecutor oracle(db_.get());
   const Result<RowSet> expected = oracle.Execute(plan);
   ASSERT_TRUE(expected.status().IsNotSupported());
   const exec::ExecutionSession session(db_.get());
@@ -392,6 +393,37 @@ TEST(VecExecWorkloadTest, GeneratedTpchWorkloadMatchesOracle) {
   for (size_t i = 0; i < queries.size(); ++i) {
     SCOPED_TRACE("generated query " + std::to_string(i));
     ExpectParity(db, queries[i], /*morsel_rows=*/8);
+  }
+}
+
+/// The query mix and data of bench_e2e at smoke scale: the same generator
+/// settings, rewrites and seeds as bench_util's MakeDetectionWorkload(24, 8,
+/// 0xE2E0), over DataGenOptions{300 rows, 40 keys, seed 0xE2EDA7A}. The
+/// bench runs every query through the vectorized engine only; this is the
+/// oracle parity check for that mix, at the bench's default morsel size.
+TEST(VecExecWorkloadTest, E2eBenchWorkloadMatchesOracle) {
+  const Catalog catalog = MakeTpchCatalog();
+  DataGenOptions data_options;
+  data_options.default_rows = 300;
+  data_options.key_cardinality = 40;
+  data_options.seed = 0xE2EDA7A;
+  const Database db = Database::Generate(catalog, data_options);
+
+  GeneratorOptions gen_options;
+  gen_options.fixed_projection_columns = 2;
+  gen_options.table_pool = {"customer", "lineitem", "orders"};
+  const QueryGenerator generator(&catalog, gen_options);
+  const Rewriter rewriter(&catalog);
+  Rng rng(0xE2E0);
+  std::vector<PlanPtr> queries = generator.GenerateMany(16, &rng);
+  for (size_t i = 0; i < 8; ++i) {
+    Result<PlanPtr> variant = rewriter.RewriteOnce(queries[i], &rng);
+    ASSERT_TRUE(variant.ok()) << variant.status().ToString();
+    queries.push_back(*variant);
+  }
+  for (size_t i = 0; i < queries.size(); ++i) {
+    SCOPED_TRACE("e2e query " + std::to_string(i));
+    ExpectParity(db, queries[i], exec::SessionOptions{}.morsel_rows);
   }
 }
 

@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "exec/database.h"
+#include "oracle/row_executor.h"
 #include "plan/canonicalize.h"
-#include "exec/executor.h"
 #include "plan/subexpr.h"
 #include "verify/verifier.h"
 #include "workload/generator.h"
@@ -72,7 +72,7 @@ TEST_F(GeneratorTest, PlansExecuteOnSyntheticData) {
   DataGenOptions data_options;
   data_options.default_rows = 100;
   const Database db = Database::Generate(catalog_, data_options);
-  Executor executor(&db);
+  RowExecutor executor(&db);
   for (int i = 0; i < 20; ++i) {
     const auto result = executor.Execute(generator_.Generate(&rng));
     ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -124,7 +124,7 @@ TEST_F(RewriteTest, VariantsProduceIdenticalResults) {
   DataGenOptions data_options;
   data_options.default_rows = 120;
   const Database db = Database::Generate(catalog_, data_options);
-  Executor executor(&db);
+  RowExecutor executor(&db);
   for (int trial = 0; trial < 15; ++trial) {
     const PlanPtr base = generator_.Generate(&rng);
     const auto variants = rewriter_.Variants(base, 2, &rng);
