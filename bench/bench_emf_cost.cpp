@@ -12,7 +12,6 @@
 
 #include "bench_util.h"
 #include "common/stopwatch.h"
-#include "nn/serialize.h"
 
 using namespace geqo;
 using namespace geqo::bench;
@@ -38,10 +37,10 @@ int main() {
 
   std::error_code ec;
   std::filesystem::create_directories("bench_cache", ec);
-  const std::string model_path = "bench_cache/emf_cost_probe.bin";
-  GEQO_CHECK_OK(system.SaveSnapshot(model_path));
-  auto size = nn::StateFileSize(model_path);
-  GEQO_CHECK(size.ok());
+  const std::string snapshot_path = "bench_cache/emf_cost_probe.bin";
+  GEQO_CHECK_OK(system.SaveSnapshot(snapshot_path));
+  const uintmax_t size = std::filesystem::file_size(snapshot_path, ec);
+  GEQO_CHECK(!ec) << snapshot_path << ": " << ec.message();
 
   // Prediction latency over fresh TPC-DS pairs (as in the paper).
   const Catalog tpcds = MakeTpcdsCatalog();
@@ -59,7 +58,7 @@ int main() {
   std::printf("model parameters          : %zu\n",
               system.model().NumParameters());
   std::printf("serialized model size     : %.2f MB  (paper: ~2.3 MB)\n",
-              static_cast<double>(*size) / 1e6);
+              static_cast<double>(size) / 1e6);
   std::printf("prediction pairs          : %zu\n", eval.dataset.size());
   std::printf("prediction time per pair  : %.3f ms  (paper: 3.19 ms)\n",
               predict_seconds * 1e3 /

@@ -12,7 +12,8 @@
 #                            'thread_pool|pipeline|tensor' keeps CI fast)
 #   GEQO_CHECK_SKIP_UBSAN=1  skip the UndefinedBehaviorSanitizer pass
 #   GEQO_CHECK_UBSAN_FILTER  ctest -R filter for the UBSan pass (default: all)
-#   GEQO_CHECK_SKIP_ASAN=1   skip the AddressSanitizer kernel-parity pass
+#   GEQO_CHECK_SKIP_ASAN=1   skip the AddressSanitizer kernel-parity and
+#                            binary-decoder pass
 #   GEQO_CHECK_SCALAR_FILTER ctest -R filter for the forced-scalar lane
 #                            (default: the kernel-sensitive suites)
 set -euo pipefail
@@ -193,19 +194,26 @@ fi
 if [[ "${GEQO_CHECK_SKIP_ASAN:-0}" == "1" ]]; then
   echo "== ASan kernel-parity pass skipped (GEQO_CHECK_SKIP_ASAN=1) =="
 else
-  echo "== ASan build (kernel parity) =="
+  echo "== ASan build (kernel parity, binary decoders) =="
   # The SIMD kernels read in 32-byte lanes with scalar tails; ASan over the
   # parity and quantization suites catches any out-of-bounds lane, on both
   # the dispatched and the forced-scalar table. EmfDedup adds the EMF's
   # shared-embedding gathers and slot-map key arrays.
   cmake -B build-asan -S . -DGEQO_SANITIZE=address >/dev/null
   cmake --build build-asan -j "$jobs" --target kernels_test quant_test \
-    hnsw_test tensor_test filters_test
+    hnsw_test tensor_test filters_test lint_test persist_test
   echo "== ASan kernel-parity ctest =="
   ctest --test-dir build-asan --output-on-failure -j "$jobs" \
     -R 'KernelTable|Alignment|Quant|Hnsw|Tensor|EmfDedup' "$@"
   GEQO_ISA=scalar ctest --test-dir build-asan --output-on-failure -j "$jobs" \
     -R 'KernelTable|Alignment|Quant|EmfDedup' "$@"
+  echo "== ASan binary-decoder ctest =="
+  # Every binary format has one decoder, shared by its loader and
+  # geqo_lint; the corruption, field-sweep and crash-recovery suites drive
+  # those decoders over hostile bytes, so any over-read or allocation sized
+  # by a corrupt count fails here.
+  ctest --test-dir build-asan --output-on-failure -j "$jobs" \
+    -R 'Lint|Crafted|WalLint|StoreManifest|Persist|Hnsw' "$@"
 fi
 
 if [[ "${GEQO_CHECK_SKIP_UBSAN:-0}" == "1" ]]; then

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <istream>
+#include <cstring>
 #include <ostream>
 #include <string>
 
@@ -19,6 +19,9 @@ constexpr uint64_t kHnswMagic = io::kHnswMagic;        // "GEQOHNSW"
 constexpr uint64_t kHnswEndMagic = io::kHnswEndMagic;  // "HNSWEND!"
 constexpr uint64_t kHnswSq8Magic = io::kHnswSq8Magic;  // "HNSWSQ8!"
 constexpr uint64_t kHnswVersion = io::kHnswVersion;
+/// Sanity bound on the stored max level: level draws are geometric with
+/// ratio 1/M, so a real index never comes near it.
+constexpr int64_t kMaxHnswLevel = 64;
 
 bool ResolveQuant(QuantOverride mode) {
   switch (mode) {
@@ -45,10 +48,6 @@ HnswIndex::HnswIndex(size_t dim, HnswOptions options)
       quant_enabled_(ResolveQuant(options.quant)) {
   GEQO_CHECK(dim_ > 0);
   GEQO_CHECK(options_.max_connections >= 2);
-  if (quant_enabled_) {
-    range_min_.assign(dim_, 0.0f);
-    range_max_.assign(dim_, 0.0f);
-  }
 }
 
 HnswIndex::SearchContext HnswIndex::MakeContext(const float* query) const {
@@ -112,6 +111,20 @@ void HnswIndex::EncodeVector(uint32_t id) {
   std::fill(codes + dim_, codes + code_stride_, static_cast<uint8_t>(0));
 }
 
+void HnswIndex::TrackRange(const float* v) {
+  // Sized by the first vector, so an empty index holds no dim-sized state
+  // however large its declared dim.
+  if (range_min_.empty()) {
+    range_min_.assign(v, v + dim_);
+    range_max_ = range_min_;
+    return;
+  }
+  for (size_t i = 0; i < dim_; ++i) {
+    range_min_[i] = std::min(range_min_[i], v[i]);
+    range_max_[i] = std::max(range_max_[i], v[i]);
+  }
+}
+
 void HnswIndex::Calibrate() {
   scale_.resize(dim_);
   for (size_t i = 0; i < dim_; ++i) {
@@ -135,16 +148,7 @@ size_t HnswIndex::Add(const float* vector) {
 
   if (quant_enabled_) {
     if (!calibrated_) {
-      // Running per-dimension ranges over the calibration sample.
-      for (size_t i = 0; i < dim_; ++i) {
-        if (id == 0) {
-          range_min_[i] = vector[i];
-          range_max_[i] = vector[i];
-        } else {
-          range_min_[i] = std::min(range_min_[i], vector[i]);
-          range_max_[i] = std::max(range_max_[i], vector[i]);
-        }
-      }
+      TrackRange(vector);
     } else {
       codes_.resize(codes_.size() + code_stride_, 0);
       EncodeVector(id);  // post-freeze inserts clamp to the frozen ranges
@@ -398,141 +402,201 @@ Status HnswIndex::Serialize(std::ostream& os) const {
   return writer.status();
 }
 
-Result<std::unique_ptr<HnswIndex>> HnswIndex::Deserialize(std::istream& is) {
-  io::BinaryReader reader(is, "HNSW index");
-  const uint64_t magic = reader.U64();
-  GEQO_RETURN_NOT_OK(reader.status());
-  if (magic != kHnswMagic) {
-    return Status::InvalidArgument("HNSW index: bad magic (not an index blob)");
+bool DecodeHnsw(io::ByteReader* reader, HnswImage* out,
+                io::DecodeErrors* errors) {
+  const size_t magic_offset = reader->offset();
+  if (reader->U64() != kHnswMagic || !reader->ok()) {
+    return io::Reject(errors, "hnsw.magic", magic_offset,
+                      "index section does not start with the GEQOHNSW magic");
   }
-  const uint64_t version = reader.U64();
-  if (reader.ok() && version != kHnswVersion) {
-    return Status::InvalidArgument(
-        "HNSW index: unsupported version " + std::to_string(version) +
-        " (expected " + std::to_string(kHnswVersion) + ")");
+  const size_t version_offset = reader->offset();
+  const uint64_t version = reader->U64();
+  if (!reader->ok() || version != kHnswVersion) {
+    return io::Reject(errors, "hnsw.version", version_offset,
+                      "unsupported index version " + std::to_string(version));
   }
-  const uint64_t dim = reader.U64();
-  HnswOptions options;
-  options.max_connections = reader.U64();
-  options.ef_construction = reader.U64();
-  options.ef_search = reader.U64();
-  options.seed = reader.U64();
-  const uint64_t quant_enabled = reader.U64();
-  options.sq8_calibration = reader.U64();
-  const uint64_t calibrated = reader.U64();
-  GEQO_RETURN_NOT_OK(reader.status());
-  if (quant_enabled > 1 || calibrated > 1) {
-    return Status::InvalidArgument(
-        "HNSW index: invalid quantization flags (corrupt quant block)");
+  const size_t params_offset = reader->offset();
+  out->dim = reader->U64();
+  HnswOptions& options = out->options;
+  options.max_connections = reader->U64();
+  options.ef_construction = reader->U64();
+  options.ef_search = reader->U64();
+  options.seed = reader->U64();
+  // v2 quantization block: resolved mode, calibration threshold, calibrated
+  // flag, and — only for a calibrated quantized index — the HNSWSQ8! magic
+  // plus dim (min, max) f32 range pairs.
+  const size_t quant_offset = reader->offset();
+  const uint64_t quant_enabled = reader->U64();
+  options.sq8_calibration = reader->U64();
+  const uint64_t calibrated = reader->U64();
+  if (!reader->ok() || quant_enabled > 1 || calibrated > 1) {
+    return io::Reject(errors, "hnsw.quant", quant_offset,
+                      "invalid quantization flags (quant " +
+                          std::to_string(quant_enabled) + ", calibrated " +
+                          std::to_string(calibrated) + ")");
   }
   options.quant = quant_enabled == 1 ? QuantOverride::kOn : QuantOverride::kOff;
-  std::vector<float> range_min;
-  std::vector<float> range_max;
-  if (quant_enabled == 1 && calibrated == 1) {
-    if (reader.U64() != kHnswSq8Magic) {
-      return Status::InvalidArgument(
-          "HNSW index: missing SQ8 calibration magic (corrupt quant block)");
+  out->calibrated = calibrated == 1;
+  if (quant_enabled == 1 && out->calibrated) {
+    const size_t sq8_magic_offset = reader->offset();
+    if (reader->U64() != kHnswSq8Magic || !reader->ok()) {
+      return io::Reject(
+          errors, "hnsw.quant-magic", sq8_magic_offset,
+          "calibrated quantized index is missing the HNSWSQ8! range-table "
+          "magic");
     }
-    range_min.resize(dim);
-    range_max.resize(dim);
-    for (uint64_t i = 0; i < dim; ++i) {
-      range_min[i] = reader.F32();
-      range_max[i] = reader.F32();
-      GEQO_RETURN_NOT_OK(reader.status());
-      if (!std::isfinite(range_min[i]) || !std::isfinite(range_max[i]) ||
-          range_min[i] > range_max[i]) {
-        return Status::InvalidArgument(
-            "HNSW index: invalid SQ8 range for dimension " +
-            std::to_string(i) + " (corrupt calibration table)");
+    if (!reader->Fits(out->dim, 2 * sizeof(float))) {
+      return io::Reject(errors, "hnsw.quant-range", reader->offset(),
+                        "SQ8 range table of " + std::to_string(out->dim) +
+                            " dimensions is cut off");
+    }
+    out->range_min.resize(out->dim);
+    out->range_max.resize(out->dim);
+    for (uint64_t i = 0; i < out->dim; ++i) {
+      const size_t range_offset = reader->offset();
+      out->range_min[i] = reader->F32();
+      out->range_max[i] = reader->F32();
+      if (!std::isfinite(out->range_min[i]) ||
+          !std::isfinite(out->range_max[i]) ||
+          out->range_min[i] > out->range_max[i]) {
+        return io::Reject(errors, "hnsw.quant-range", range_offset,
+                          "SQ8 range for dimension " + std::to_string(i) +
+                              " is corrupt (non-finite or min > max)");
       }
     }
   }
-  std::array<uint64_t, 4> rng_state;
-  for (auto& word : rng_state) word = reader.U64();
-  const int64_t max_level = reader.I64();
-  const uint64_t entry_point = reader.U64();
-  const uint64_t count = reader.U64();
-  GEQO_RETURN_NOT_OK(reader.status());
-  if (dim == 0 || options.max_connections < 2) {
-    return Status::InvalidArgument("HNSW index: invalid header parameters");
+  // The rng's stream position.
+  for (uint64_t& word : out->rng_state) word = reader->U64();
+  const size_t level_offset = reader->offset();
+  out->max_level = reader->I64();
+  out->entry_point = reader->U64();
+  const size_t count_offset = reader->offset();
+  out->count = reader->U64();
+  if (!reader->ok()) {
+    return io::Reject(errors, "hnsw.truncated", params_offset,
+                      "index header is cut off");
   }
-
-  auto index = std::make_unique<HnswIndex>(dim, options);
-  index->rng_.RestoreState(rng_state);
-  index->max_level_ = static_cast<int>(max_level);
-  index->entry_point_ = static_cast<uint32_t>(entry_point);
-  index->vectors_.assign(count * index->padded_dim_, 0.0f);
+  const uint64_t dim = out->dim;
+  const uint64_t count = out->count;
+  if (dim == 0 || dim > io::kMaxStoredDim || options.max_connections < 2) {
+    return io::Reject(errors, "hnsw.params", params_offset,
+                      "invalid construction parameters (dim " +
+                          std::to_string(dim) + ", M " +
+                          std::to_string(options.max_connections) + ")");
+  }
+  if (out->max_level < -1 || out->max_level > kMaxHnswLevel) {
+    return io::Reject(errors, "hnsw.level", level_offset,
+                      "implausible max level " +
+                          std::to_string(out->max_level));
+  }
+  if (count == 0 && out->max_level != -1) {
+    io::Reject(errors, "hnsw.entry-point", level_offset,
+               "empty index declares an entry point");
+  }
+  if (count > 0 && out->entry_point >= count) {
+    io::Reject(errors, "hnsw.entry-point", level_offset,
+               "entry point " + std::to_string(out->entry_point) +
+                   " is out of range");
+  }
+  if (!reader->Fits(count, dim * sizeof(float))) {
+    return io::Reject(errors, "hnsw.truncated", count_offset,
+                      "vector payload is cut off");
+  }
+  out->vectors = reader->Bytes(count * dim * sizeof(float));
+  // Each node takes at least its level and one link count.
+  out->nodes.clear();
+  if (reader->Fits(count, 2 * sizeof(uint64_t))) out->nodes.reserve(count);
   for (uint64_t id = 0; id < count; ++id) {
-    reader.Bytes(index->vectors_.data() + id * index->padded_dim_,
-                 dim * sizeof(float));
-    GEQO_RETURN_NOT_OK(reader.status());
-  }
-  index->nodes_.resize(count);
-  for (Node& node : index->nodes_) {
-    node.level = static_cast<int>(reader.I64());
-    GEQO_RETURN_NOT_OK(reader.status());
-    if (node.level < 0 || node.level > index->max_level_) {
-      return Status::InvalidArgument("HNSW index: node level out of range");
+    const size_t node_offset = reader->offset();
+    const int64_t level = reader->I64();
+    if (!reader->ok() || level < 0 || level > out->max_level) {
+      return io::Reject(errors, "hnsw.level", node_offset,
+                        "node " + std::to_string(id) + " has level " +
+                            std::to_string(level) + " outside [0, " +
+                            std::to_string(out->max_level) + "]");
     }
-    node.neighbors.resize(static_cast<size_t>(node.level) + 1);
-    for (auto& links : node.neighbors) {
-      const uint64_t n_links = reader.U64();
-      GEQO_RETURN_NOT_OK(reader.status());
-      if (n_links > count) {
-        return Status::InvalidArgument("HNSW index: neighbor count exceeds "
-                                       "element count (corrupt graph)");
+    HnswNode node;
+    node.level = static_cast<int>(level);
+    node.neighbors.resize(static_cast<size_t>(level) + 1);
+    for (size_t layer = 0; layer < node.neighbors.size(); ++layer) {
+      const size_t links_offset = reader->offset();
+      const uint64_t n_links = reader->U64();
+      if (!reader->ok() || n_links > count ||
+          !reader->Fits(n_links, sizeof(uint32_t))) {
+        return io::Reject(errors, "hnsw.link", links_offset,
+                          "node " + std::to_string(id) + " layer " +
+                              std::to_string(layer) + " declares " +
+                              std::to_string(n_links) + " links (index holds " +
+                              std::to_string(count) + " nodes)");
       }
+      std::vector<uint32_t>& links = node.neighbors[layer];
       links.resize(n_links);
-      reader.Bytes(links.data(), n_links * sizeof(uint32_t));
-      GEQO_RETURN_NOT_OK(reader.status());
-      for (const uint32_t link : links) {
+      for (uint32_t& link : links) {
+        link = reader->U32();
         if (link >= count) {
-          return Status::InvalidArgument(
-              "HNSW index: neighbor id out of range (corrupt graph)");
+          return io::Reject(errors, "hnsw.link", links_offset,
+                            "node " + std::to_string(id) +
+                                " links to out-of-range id " +
+                                std::to_string(link));
         }
       }
     }
+    out->nodes.push_back(std::move(node));
   }
-  if (reader.U64() != kHnswEndMagic) {
-    reader.Fail("missing end marker");
+  if (count > 0 && out->entry_point < count &&
+      out->nodes[out->entry_point].level != out->max_level) {
+    io::Reject(errors, "hnsw.entry-point", level_offset,
+               "entry point level " +
+                   std::to_string(out->nodes[out->entry_point].level) +
+                   " does not match the max level " +
+                   std::to_string(out->max_level));
   }
-  GEQO_RETURN_NOT_OK(reader.status());
-  if (count == 0) {
-    if (index->max_level_ != -1) {
-      return Status::InvalidArgument("HNSW index: empty index with entry");
-    }
-  } else {
-    if (entry_point >= count) {
-      return Status::InvalidArgument("HNSW index: entry point out of range");
-    }
-    if (index->nodes_[entry_point].level != index->max_level_) {
-      return Status::InvalidArgument(
-          "HNSW index: entry point level does not match max level");
-    }
+  const size_t end_offset = reader->offset();
+  if (reader->U64() != kHnswEndMagic || !reader->ok()) {
+    return io::Reject(errors, "hnsw.end-magic", end_offset,
+                      "index section is missing its end marker");
   }
-  if (quant_enabled == 1) {
-    if (calibrated == 1) {
-      index->range_min_ = std::move(range_min);
-      index->range_max_ = std::move(range_max);
+  return true;
+}
+
+std::unique_ptr<HnswIndex> HnswIndex::FromImage(HnswImage image) {
+  auto index = std::make_unique<HnswIndex>(image.dim, image.options);
+  const size_t dim = index->dim_;
+  const size_t count = image.count;
+  index->rng_.RestoreState(image.rng_state);
+  index->max_level_ = static_cast<int>(image.max_level);
+  index->entry_point_ = static_cast<uint32_t>(image.entry_point);
+  index->vectors_.assign(count * index->padded_dim_, 0.0f);
+  for (size_t id = 0; id < count; ++id) {
+    std::memcpy(index->vectors_.data() + id * index->padded_dim_,
+                image.vectors.data() + id * dim * sizeof(float),
+                dim * sizeof(float));
+  }
+  index->nodes_ = std::move(image.nodes);
+  if (index->quant_enabled_) {
+    if (image.calibrated) {
+      index->range_min_ = std::move(image.range_min);
+      index->range_max_ = std::move(image.range_max);
       index->Calibrate();  // derives scales, re-encodes codes from f32
-    } else if (count > 0) {
+    } else {
       // Resume an in-progress calibration: replay the ranges the stored
       // vectors would have produced.
-      for (uint64_t id = 0; id < count; ++id) {
-        const float* v = index->vector(id);
-        for (size_t i = 0; i < dim; ++i) {
-          if (id == 0) {
-            index->range_min_[i] = v[i];
-            index->range_max_[i] = v[i];
-          } else {
-            index->range_min_[i] = std::min(index->range_min_[i], v[i]);
-            index->range_max_[i] = std::max(index->range_max_[i], v[i]);
-          }
-        }
-      }
+      for (size_t id = 0; id < count; ++id) index->TrackRange(index->vector(id));
     }
   }
   return index;
+}
+
+Result<std::unique_ptr<HnswIndex>> HnswIndex::Deserialize(
+    std::string_view bytes) {
+  io::ByteReader reader(bytes);
+  HnswImage image;
+  io::DecodeErrors errors;
+  if (DecodeHnsw(&reader, &image, &errors)) {
+    reader.ExpectEnd(&errors, "hnsw.trailing", "the end marker");
+  }
+  GEQO_RETURN_NOT_OK(io::DecodeStatus(errors, "HNSW index"));
+  return FromImage(std::move(image));
 }
 
 std::vector<Neighbor> HnswIndex::ExactRadius(const float* query,

@@ -1,13 +1,16 @@
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "common/aligned.h"
+#include "common/binary_io.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -66,6 +69,42 @@ struct Neighbor {
     return id < other.id;
   }
 };
+
+/// \brief One graph node: its top layer and its adjacency lists, one per
+/// layer 0..level.
+struct HnswNode {
+  int level = 0;
+  std::vector<std::vector<uint32_t>> neighbors;
+};
+
+/// \brief A decoded GEQOHNSW section (layout: HnswIndex::Serialize).
+struct HnswImage {
+  uint64_t dim = 0;
+  /// Construction parameters; `quant` is the stored, resolved mode (kOn or
+  /// kOff), never kAuto.
+  HnswOptions options;
+  bool calibrated = false;
+  /// Frozen SQ8 ranges, dim entries each — only for a calibrated quantized
+  /// index.
+  std::vector<float> range_min;
+  std::vector<float> range_max;
+  std::array<uint64_t, 4> rng_state{};
+  int64_t max_level = -1;
+  uint64_t entry_point = 0;
+  uint64_t count = 0;
+  /// count * dim float32, row-major; views the decoded bytes.
+  std::string_view vectors;
+  std::vector<HnswNode> nodes;
+};
+
+/// \brief Decodes one GEQOHNSW section at \p reader's position — the one
+/// decoder of the format, shared by HnswIndex::Deserialize, the catalog
+/// segment decoder and geqo_lint. It proves every invariant the index
+/// relies on (parameters, quantization block, levels, link ids, entry
+/// point) and never sizes a container beyond what the input can hold.
+/// Refusals carry hnsw.* codes; returns false when the walk had to stop.
+bool DecodeHnsw(io::ByteReader* reader, HnswImage* out,
+                io::DecodeErrors* errors);
 
 /// \brief An HNSW index over fixed-dimension float vectors.
 ///
@@ -131,21 +170,20 @@ class HnswIndex {
   /// bit-identical search results and level assignments to the original.
   Status Serialize(std::ostream& os) const;
 
-  /// Restores an index written by Serialize. Fails with a descriptive Status
-  /// (never aborts) on bad magic, version skew, truncation, a corrupt
-  /// quantization range table, or a graph that violates structural
-  /// invariants (out-of-range ids, level mismatches). The quantization mode
-  /// stored in the snapshot wins over the current GEQO_QUANT environment, so
-  /// a loaded index reproduces the serving behavior it was built with; SQ8
-  /// codes are re-encoded deterministically from the stored f32 vectors.
-  static Result<std::unique_ptr<HnswIndex>> Deserialize(std::istream& is);
+  /// Restores an index written by Serialize: DecodeHnsw, then FromImage.
+  /// Fails with a descriptive Status (never aborts or throws) on anything
+  /// DecodeHnsw refuses and on trailing bytes.
+  static Result<std::unique_ptr<HnswIndex>> Deserialize(std::string_view bytes);
+
+  /// Builds the index an image describes; \p image must come from a
+  /// successful DecodeHnsw. The quantization mode stored in the image wins
+  /// over the current GEQO_QUANT environment, so a loaded index reproduces
+  /// the serving behavior it was built with; SQ8 codes are re-encoded
+  /// deterministically from the stored f32 vectors.
+  static std::unique_ptr<HnswIndex> FromImage(HnswImage image);
 
  private:
-  struct Node {
-    int level;
-    /// Adjacency lists, one per layer 0..level.
-    std::vector<std::vector<uint32_t>> neighbors;
-  };
+  using Node = HnswNode;
 
   /// Per-search state. Quantized traversal needs the query pre-shifted by
   /// the per-dimension minima (so the range offsets cancel in the kernel);
@@ -180,6 +218,9 @@ class HnswIndex {
   /// public operation so hot inner loops only touch the local atomics.
   void FoldMetrics() const;
   int RandomLevel();
+  /// Widens the running per-dimension ranges of the calibration sample by
+  /// \p v (dim_ floats).
+  void TrackRange(const float* v);
   /// Freezes min/max ranges and encodes all stored vectors.
   void Calibrate();
   /// Encodes stored element \p id into codes_ using the frozen ranges.
@@ -210,8 +251,9 @@ class HnswIndex {
   int max_level_ = -1;
   uint32_t entry_point_ = 0;
 
-  /// SQ8 state (see file comment). min_/scale_ have dim_ entries once
-  /// calibrated; codes_ is one padded row per element.
+  /// SQ8 state (see file comment). The ranges have dim_ entries from the
+  /// first insert on, scale_ once calibrated; codes_ is one padded row per
+  /// element.
   bool quant_enabled_ = false;
   bool calibrated_ = false;
   std::vector<float> range_min_;

@@ -2,19 +2,23 @@
 
 #include <cstdint>
 #include <cstring>
-#include <istream>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "common/status.h"
 
 /// \file binary_io.h
-/// Little helpers for the versioned binary snapshot formats (model state,
-/// HNSW graph, serving catalog). Readers latch the first failure so callers
-/// can issue a run of reads and check status() once; every error message
-/// carries the caller-supplied context so corrupted or truncated snapshots
-/// fail loudly with a pointer at the offending section.
+/// The writer and the bounded reader behind every versioned binary format
+/// (model state, HNSW graph, catalog segment, sharded snapshot, store
+/// manifest, delta log). Each format has exactly one decode function, in the
+/// module that writes it; loaders and geqo_lint both call it. A decoder
+/// reads through ByteReader — which never reads past its input and lets a
+/// decoder ask whether a stored count fits before sizing a container from
+/// it — and reports what it refuses as DecodeErrors carrying the lint code
+/// geqo_lint prints, so the linter and the loader cannot disagree on bytes.
 
 namespace geqo::io {
 
@@ -58,85 +62,107 @@ class BinaryWriter {
   std::string context_;
 };
 
-/// \brief Reader over an std::istream that latches the first failure.
+/// One reason a decoder refused its input: the lint code geqo_lint reports
+/// for it (e.g. "catalog.memo-order"), the byte offset of the offending
+/// field, and a human-readable message.
+struct DecodeError {
+  std::string code;
+  size_t offset = 0;
+  std::string message;
+};
+
+/// Everything one decode found wrong, in discovery order. A decoder stops
+/// at an error that leaves the rest unreadable and walks on past one that
+/// does not (a checksum mismatch, an out-of-range calibration value), so
+/// the linter can narrow the damage. A loader refuses on any entry.
+using DecodeErrors = std::vector<DecodeError>;
+
+/// Appends an error and returns false, so a decoder can `return Reject(..)`.
+inline bool Reject(DecodeErrors* errors, std::string code, size_t offset,
+                   std::string message) {
+  errors->push_back({std::move(code), offset, std::move(message)});
+  return false;
+}
+
+/// A loader's Status for a failed decode: the first error, under \p context.
+inline Status DecodeStatus(const DecodeErrors& errors,
+                           const std::string& context) {
+  if (errors.empty()) return Status::OK();
+  const DecodeError& first = errors.front();
+  return Status::InvalidArgument(context + ": " + first.message + " (" +
+                                 first.code + " at offset " +
+                                 std::to_string(first.offset) + ")");
+}
+
+/// \brief Bounded reader over a byte view that latches its first failure.
 ///
-/// After a short read every subsequent accessor returns a zero value, so a
-/// sequence of reads can be issued unconditionally and validated once via
-/// status(). Truncated input therefore never turns into garbage state.
-class BinaryReader {
+/// A read past the end fails the reader and returns a zero value; every
+/// later read fails too, so a run of reads can be checked once via ok().
+/// Offsets count from the start of the view.
+class ByteReader {
  public:
-  explicit BinaryReader(std::istream& is, std::string context)
-      : is_(is), context_(std::move(context)) {}
+  explicit ByteReader(std::string_view bytes) : bytes_(bytes) {}
+
+  size_t offset() const { return offset_; }
+  bool ok() const { return ok_; }
+  bool AtEnd() const { return offset_ == bytes_.size(); }
+  size_t remaining() const { return bytes_.size() - offset_; }
 
   uint64_t U64() { return Fixed<uint64_t>(); }
   uint32_t U32() { return Fixed<uint32_t>(); }
   uint8_t U8() { return Fixed<uint8_t>(); }
   float F32() { return Fixed<float>(); }
-  double F64() { return Fixed<double>(); }
   int64_t I64() { return static_cast<int64_t>(U64()); }
 
-  /// Reads a length-prefixed string, failing (not allocating) if the stored
-  /// length exceeds \p max_size — a cheap guard against interpreting a
-  /// corrupted length field as a multi-gigabyte allocation.
-  std::string String(size_t max_size = 1 << 20) {
-    const uint64_t size = U64();
-    if (!ok()) return {};
-    if (size > max_size) {
-      Fail("string length " + std::to_string(size) + " exceeds limit");
+  /// The next \p size bytes as a view into the input (empty on failure).
+  std::string_view Bytes(uint64_t size) {
+    if (!ok_ || remaining() < size) {
+      ok_ = false;
       return {};
     }
-    std::string out(size, '\0');
-    Raw(out.data(), out.size());
-    if (!ok()) return {};
+    const std::string_view out = bytes_.substr(offset_, size);
+    offset_ += size;
     return out;
   }
 
-  void Bytes(void* data, size_t size) { Raw(data, size); }
-
-  bool ok() const { return !failed_; }
-
-  Status status() const {
-    if (!failed_) return Status::OK();
-    return Status::IoError("corrupted or truncated " + context_ +
-                           (detail_.empty() ? "" : ": " + detail_));
+  /// A u64 length-prefixed string of at most \p max_length bytes.
+  std::string_view String(uint64_t max_length) {
+    const uint64_t length = U64();
+    if (ok_ && length > max_length) ok_ = false;
+    return Bytes(length);
   }
 
-  /// Marks the stream as failed with a caller-diagnosed reason (e.g. an
-  /// out-of-range id); later reads become no-ops.
-  void Fail(std::string detail) {
-    if (!failed_) detail_ = std::move(detail);
-    failed_ = true;
+  /// True when \p count items of \p item_size bytes fit in what is left.
+  /// Decoders ask this before sizing any container from a stored count, so
+  /// no allocation outgrows the input.
+  bool Fits(uint64_t count, size_t item_size) const {
+    return ok_ && count <= remaining() / item_size;
   }
 
-  /// True when every byte of the stream has been consumed; trailing garbage
-  /// after a structurally valid snapshot is treated as corruption.
-  bool AtEof() {
-    if (failed_) return false;
-    return is_.peek() == std::istream::traits_type::eof();
+  /// Reports \p code when bytes remain past the end of the decoded format.
+  void ExpectEnd(DecodeErrors* errors, const char* code, const char* after) {
+    if (ok_ && !AtEnd()) {
+      Reject(errors, code, offset_,
+             std::to_string(remaining()) + " unexpected bytes after " + after);
+    }
   }
 
  private:
   template <typename T>
   T Fixed() {
-    T v{};
-    Raw(&v, sizeof(v));
-    if (failed_) return T{};
-    return v;
-  }
-
-  void Raw(void* data, size_t size) {
-    if (failed_) {
-      std::memset(data, 0, size);
-      return;
+    T value{};
+    if (!ok_ || remaining() < sizeof(T)) {
+      ok_ = false;
+      return value;
     }
-    is_.read(static_cast<char*>(data), static_cast<std::streamsize>(size));
-    if (static_cast<size_t>(is_.gcount()) != size) Fail("unexpected end");
+    std::memcpy(&value, bytes_.data() + offset_, sizeof(T));
+    offset_ += sizeof(T);
+    return value;
   }
 
-  std::istream& is_;
-  std::string context_;
-  std::string detail_;
-  bool failed_ = false;
+  std::string_view bytes_;
+  size_t offset_ = 0;
+  bool ok_ = true;
 };
 
 }  // namespace geqo::io

@@ -1,12 +1,12 @@
 #pragma once
 
 #include <cstring>
-#include <istream>
 #include <ostream>
 #include <string>
+#include <string_view>
 
+#include "common/binary_io.h"
 #include "common/hash.h"
-#include "common/result.h"
 #include "common/status.h"
 
 /// \file checksum_io.h
@@ -19,7 +19,7 @@
 namespace geqo::io {
 
 /// Checksum of a payload, as stored in the footer.
-inline uint64_t PayloadChecksum(const std::string& payload) {
+inline uint64_t PayloadChecksum(std::string_view payload) {
   return HashBytes(payload.data(), payload.size());
 }
 
@@ -33,29 +33,27 @@ inline Status WriteChecksummed(std::ostream& os, const std::string& payload,
   return Status::OK();
 }
 
-/// Consumes the remainder of \p is and validates the checksum footer.
-/// Returns the payload (footer stripped) on success.
-inline Result<std::string> ReadChecksummed(std::istream& is,
-                                           const std::string& context) {
-  std::string bytes((std::istreambuf_iterator<char>(is)),
-                    std::istreambuf_iterator<char>());
+/// Strips and verifies the checksum footer of \p bytes, reporting
+/// `<prefix>.truncated` (shorter than the footer) or `<prefix>.checksum`.
+/// The payload is returned even on a mismatch, so the structural decode can
+/// still narrow the damage; the error already fails the load.
+inline std::string_view CheckFooter(std::string_view bytes,
+                                    const std::string& prefix,
+                                    DecodeErrors* errors) {
   if (bytes.size() < sizeof(uint64_t)) {
-    return Status::InvalidArgument(
-        context + ": truncated (shorter than the checksum footer)");
+    Reject(errors, prefix + ".truncated", 0,
+           "file is shorter than the checksum footer");
+    return {};
   }
   const size_t payload_size = bytes.size() - sizeof(uint64_t);
   uint64_t stored = 0;
   std::memcpy(&stored, bytes.data() + payload_size, sizeof(stored));
-  const uint64_t computed =
-      HashBytes(bytes.data(), payload_size);
-  if (stored != computed) {
-    return Status::InvalidArgument(
-        context +
-        ": checksum mismatch — the file is corrupt, truncated, or carries "
-        "trailing bytes");
+  if (stored != PayloadChecksum(bytes.substr(0, payload_size))) {
+    Reject(errors, prefix + ".checksum", payload_size,
+           "payload checksum mismatch: the file is corrupt, truncated, or "
+           "carries trailing bytes");
   }
-  bytes.resize(payload_size);
-  return bytes;
+  return bytes.substr(0, payload_size);
 }
 
 }  // namespace geqo::io

@@ -10,6 +10,13 @@
 
 namespace geqo::io {
 
+/// Decoder sanity bounds shared by the formats below: a stored tensor or
+/// embedding dimension beyond kMaxStoredDim is a corrupt length, not a real
+/// model (the largest is ~10^7 scalars), and a shard count beyond
+/// kMaxStoredShards is one ShardedCatalogOptions::Validate would refuse.
+constexpr uint64_t kMaxStoredDim = uint64_t{1} << 24;
+constexpr uint64_t kMaxStoredShards = 4096;
+
 /// GeqoSystem snapshot ("GEQOSNAP"): header + calibration + model state,
 /// followed by a whole-payload FNV-1a checksum footer (since v2).
 constexpr uint64_t kSystemSnapshotMagic = 0x4745514f534e4150ULL;

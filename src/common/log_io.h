@@ -39,8 +39,9 @@ inline void AppendFramedRecord(std::string* out, std::string_view payload) {
 
 /// Outcome of scanning a byte range for framed records.
 struct FramedScan {
-  /// The checksum-valid record payloads, in append order.
-  std::vector<std::string> records;
+  /// The checksum-valid record payloads, in append order (views into the
+  /// scanned bytes).
+  std::vector<std::string_view> records;
   /// Byte offset (from the start of \p bytes) one past the last valid
   /// frame — the truncation target when the tail is torn.
   size_t clean_size = 0;

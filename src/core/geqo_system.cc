@@ -1,6 +1,8 @@
 #include "core/geqo_system.h"
 
+#include <cmath>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include "analysis/model_check.h"
@@ -10,7 +12,6 @@
 #include "common/format_magic.h"
 #include "filters/emf_filter.h"
 #include "filters/vmf.h"
-#include "nn/serialize.h"
 #include "plan/schema.h"
 
 namespace geqo {
@@ -109,65 +110,88 @@ Status GeqoSystem::SaveSnapshot(const std::string& path) {
   return Status::OK();
 }
 
+bool DecodeSystemSnapshot(std::string_view bytes, SystemSnapshotImage* out,
+                          io::DecodeErrors* errors) {
+  io::ByteReader reader(io::CheckFooter(bytes, "snapshot", errors));
+  if (reader.U64() != io::kSystemSnapshotMagic || !reader.ok()) {
+    return io::Reject(errors, "snapshot.magic", 0, "missing GEQOSNAP magic");
+  }
+  const size_t version_offset = reader.offset();
+  const uint64_t version = reader.U64();
+  if (!reader.ok() || version != io::kSystemSnapshotVersion) {
+    return io::Reject(errors, "snapshot.version", version_offset,
+                      "unsupported snapshot version " +
+                          std::to_string(version));
+  }
+  out->schema_fingerprint = reader.U64();
+  const size_t layout_offset = reader.offset();
+  out->agnostic_tables = reader.U64();
+  out->agnostic_columns = reader.U64();
+  const size_t calibration_offset = reader.offset();
+  out->vmf_radius = reader.F32();
+  out->emf_threshold = reader.F32();
+  if (!reader.ok()) {
+    return io::Reject(errors, "snapshot.truncated", 0,
+                      "snapshot header is cut off");
+  }
+  const uint64_t tables = out->agnostic_tables;
+  const uint64_t columns = out->agnostic_columns;
+  if (tables == 0 || tables > kMaxAgnosticSymbols || columns == 0 ||
+      columns > kMaxAgnosticSymbols) {
+    io::Reject(errors, "snapshot.layout", layout_offset,
+               "implausible agnostic layout " + std::to_string(tables) + "x" +
+                   std::to_string(columns));
+  } else {
+    out->input_dim =
+        EncodingLayout::Agnostic(tables, columns).node_vector_size();
+  }
+  if (!std::isfinite(out->vmf_radius) || out->vmf_radius < 0.0f) {
+    io::Reject(errors, "snapshot.radius", calibration_offset,
+               "calibrated VMF radius is not a finite non-negative value");
+  }
+  if (!std::isfinite(out->emf_threshold) || out->emf_threshold < 0.0f ||
+      out->emf_threshold > 1.0f) {
+    io::Reject(errors, "snapshot.threshold", calibration_offset,
+               "calibrated EMF threshold is outside [0, 1]");
+  }
+  if (!nn::DecodeState(&reader, &out->model, errors)) return false;
+  reader.ExpectEnd(errors, "snapshot.trailing",
+                   "the model state section");
+  return true;
+}
+
 Status GeqoSystem::LoadSnapshot(const std::string& path) {
   std::ifstream file(path, std::ios::binary);
   if (!file) return Status::IoError("cannot open for reading: " + path);
-  GEQO_ASSIGN_OR_RETURN(
-      const std::string payload,
-      io::ReadChecksummed(file, "system snapshot " + path));
-  std::istringstream stream(payload);
-  io::BinaryReader reader(stream, "system snapshot");
-  const uint64_t magic = reader.U64();
-  GEQO_RETURN_NOT_OK(reader.status());
-  if (magic != io::kSystemSnapshotMagic) {
-    return Status::InvalidArgument(
-        "system snapshot: bad magic (not a GEqO snapshot): " + path);
-  }
-  const uint64_t version = reader.U64();
-  GEQO_RETURN_NOT_OK(reader.status());
-  if (version != io::kSystemSnapshotVersion) {
-    return Status::InvalidArgument(
-        "system snapshot: unsupported version " + std::to_string(version) +
-        " (expected " + std::to_string(io::kSystemSnapshotVersion) +
-        "): " + path);
-  }
-  const uint64_t fingerprint = reader.U64();
-  const uint64_t tables = reader.U64();
-  const uint64_t columns = reader.U64();
-  const float radius = reader.F32();
-  const float threshold = reader.F32();
-  GEQO_RETURN_NOT_OK(reader.status());
-  if (tables == 0 || tables > kMaxAgnosticSymbols || columns == 0 ||
-      columns > kMaxAgnosticSymbols) {
-    return Status::InvalidArgument(
-        "system snapshot: implausible agnostic layout " +
-        std::to_string(tables) + "x" + std::to_string(columns) + ": " + path);
-  }
+  const std::string bytes((std::istreambuf_iterator<char>(file)),
+                          std::istreambuf_iterator<char>());
+  SystemSnapshotImage image;
+  io::DecodeErrors errors;
+  DecodeSystemSnapshot(bytes, &image, &errors);
+  GEQO_RETURN_NOT_OK(io::DecodeStatus(errors, "system snapshot " + path));
   const uint64_t expected = CatalogFingerprint(*catalog_);
-  if (fingerprint != expected) {
+  if (image.schema_fingerprint != expected) {
     return Status::InvalidArgument(
         "system snapshot: database schema fingerprint mismatch (snapshot " +
-        std::to_string(fingerprint) + ", current " + std::to_string(expected) +
+        std::to_string(image.schema_fingerprint) + ", current " +
+        std::to_string(expected) +
         ") — the snapshot was trained against a different catalog: " + path);
   }
-  if (tables != options_.agnostic_tables ||
-      columns != options_.agnostic_columns_per_table) {
+  if (image.agnostic_tables != options_.agnostic_tables ||
+      image.agnostic_columns != options_.agnostic_columns_per_table) {
     return Status::InvalidArgument(
         "system snapshot: agnostic layout mismatch (snapshot " +
-        std::to_string(tables) + "x" + std::to_string(columns) + ", system " +
+        std::to_string(image.agnostic_tables) + "x" +
+        std::to_string(image.agnostic_columns) + ", system " +
         std::to_string(options_.agnostic_tables) + "x" +
         std::to_string(options_.agnostic_columns_per_table) + "): " + path);
   }
-  GEQO_RETURN_NOT_OK(nn::LoadState(model_->State(), stream));
-  if (!reader.AtEof()) {
-    return Status::InvalidArgument(
-        "system snapshot: trailing bytes after the model state: " + path);
-  }
+  GEQO_RETURN_NOT_OK(nn::BindState(model_->State(), image.model));
   // The loaded weights must still assemble into a shape-sound network.
   GEQO_RETURN_NOT_OK(analysis::CheckModelShapes(*model_));
   GeqoOptions calibrated = pipeline_->options();
-  calibrated.vmf.radius = radius;
-  calibrated.emf.threshold = threshold;
+  calibrated.vmf.radius = image.vmf_radius;
+  calibrated.emf.threshold = image.emf_threshold;
   GEQO_RETURN_NOT_OK(pipeline_->UpdateOptions(calibrated));
   options_.pipeline = calibrated;
   return Status::OK();

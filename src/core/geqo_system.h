@@ -2,9 +2,12 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/binary_io.h"
 #include "ml/trainer.h"
+#include "nn/serialize.h"
 #include "pipeline/baselines.h"
 #include "pipeline/geqo.h"
 #include "pipeline/ssfl.h"
@@ -27,6 +30,29 @@
 /// \endcode
 
 namespace geqo {
+
+/// \brief A decoded GEQOSNAP system snapshot (layout:
+/// GeqoSystem::SaveSnapshot).
+struct SystemSnapshotImage {
+  uint64_t schema_fingerprint = 0;  ///< CatalogFingerprint of the db schema
+  uint64_t agnostic_tables = 0;
+  uint64_t agnostic_columns = 0;
+  /// Node vector size the agnostic layout implies (the EMF input dim); 0
+  /// when the layout is implausible.
+  uint64_t input_dim = 0;
+  float vmf_radius = 0.0f;
+  float emf_threshold = 0.0f;
+  nn::StateImage model;
+};
+
+/// \brief Decodes GEQOSNAP \p bytes, checksum footer included — the one
+/// decoder of the format, shared by GeqoSystem::LoadSnapshot and geqo_lint.
+/// Proves the agnostic layout is buildable, the calibration values are in
+/// range (radius finite and non-negative, threshold in [0, 1]) and the
+/// model section decodes with nothing after it. Refusals carry snapshot.*
+/// and model.* codes.
+bool DecodeSystemSnapshot(std::string_view bytes, SystemSnapshotImage* out,
+                          io::DecodeErrors* errors);
 
 /// \brief Configuration for a GeqoSystem.
 struct GeqoSystemOptions {

@@ -353,64 +353,121 @@ Status EquivalenceCatalog::ExportSnapshot(std::ostream& os) const {
   return io::WriteChecksummed(os, payload.str(), "catalog snapshot");
 }
 
-Result<std::unique_ptr<EquivalenceCatalog>> EquivalenceCatalog::ImportSnapshot(
-    std::istream& is, const CatalogComponents& wiring,
-    const std::vector<PlanPtr>& plans, CatalogOptions options) {
-  // The v2 footer checksums the whole payload: corruption anywhere —
-  // including trailing bytes after the end marker — fails here, before any
-  // section is interpreted.
-  GEQO_ASSIGN_OR_RETURN(const std::string payload,
-                        io::ReadChecksummed(is, "catalog snapshot"));
-  std::istringstream stream(payload);
-  io::BinaryReader reader(stream, "catalog snapshot");
-  const uint64_t magic = reader.U64();
-  GEQO_RETURN_NOT_OK(reader.status());
-  if (magic != io::kCatalogMagic) {
-    return Status::InvalidArgument(
-        "catalog snapshot: bad magic (not a catalog snapshot)");
+bool DecodeCatalogSegment(std::string_view bytes, CatalogSegmentImage* out,
+                          io::DecodeErrors* errors) {
+  io::ByteReader reader(io::CheckFooter(bytes, "catalog", errors));
+  if (reader.U64() != io::kCatalogMagic || !reader.ok()) {
+    return io::Reject(errors, "catalog.magic", 0, "missing GEQOCATG magic");
   }
+  const size_t version_offset = reader.offset();
   const uint64_t version = reader.U64();
-  GEQO_RETURN_NOT_OK(reader.status());
-  if (version != io::kCatalogVersion) {
-    return Status::InvalidArgument(
-        "catalog snapshot: unsupported version " + std::to_string(version) +
-        " (expected " + std::to_string(io::kCatalogVersion) + ")");
+  if (!reader.ok() || version != io::kCatalogVersion) {
+    return io::Reject(errors, "catalog.version", version_offset,
+                      "unsupported catalog version " +
+                          std::to_string(version));
   }
-  const uint64_t saved_fingerprint = reader.U64();
-  const uint64_t saved_dim = reader.U64();
+  out->schema_fingerprint = reader.U64();
+  const size_t dim_offset = reader.offset();
+  out->embedding_dim = reader.U64();
+  const size_t count_offset = reader.offset();
   const uint64_t count = reader.U64();
-  GEQO_RETURN_NOT_OK(reader.status());
+  if (!reader.ok()) {
+    return io::Reject(errors, "catalog.truncated", 0,
+                      "catalog header is cut off");
+  }
+  if (out->embedding_dim == 0 || out->embedding_dim > io::kMaxStoredDim) {
+    return io::Reject(errors, "catalog.embedding-dim", dim_offset,
+                      "implausible embedding dim " +
+                          std::to_string(out->embedding_dim));
+  }
+  if (!reader.Fits(count, sizeof(uint64_t))) {
+    return io::Reject(errors, "catalog.entry-count", count_offset,
+                      "entry count " + std::to_string(count) +
+                          " exceeds what the file can hold");
+  }
+  out->canonical_hashes.resize(count);
+  for (uint64_t& hash : out->canonical_hashes) hash = reader.U64();
+  const size_t index_offset = reader.offset();
+  if (!ann::DecodeHnsw(&reader, &out->index, errors)) return false;
+  if (out->index.dim != out->embedding_dim) {
+    io::Reject(errors, "hnsw.dim-mismatch", index_offset,
+               "index dim " + std::to_string(out->index.dim) +
+                   " does not match the embedding dim " +
+                   std::to_string(out->embedding_dim) +
+                   " of the enclosing snapshot");
+  }
+  if (out->index.count != count) {
+    return io::Reject(errors, "hnsw.count-mismatch", index_offset,
+                      "index holds " + std::to_string(out->index.count) +
+                          " vectors for " + std::to_string(count) +
+                          " catalog entries");
+  }
+  // Union-find forest in compressed, min-root form: every parent points at
+  // or below its child and directly at its root.
+  const size_t parents_offset = reader.offset();
+  out->parents.resize(count);
+  for (size_t& parent : out->parents) parent = reader.U64();
+  if (!reader.ok()) {
+    return io::Reject(errors, "catalog.truncated", parents_offset,
+                      "class forest is cut off");
+  }
+  const std::vector<size_t>& parents = out->parents;
+  for (size_t i = 0; i < count; ++i) {
+    if (parents[i] > i) {
+      return io::Reject(errors, "catalog.parent-range", parents_offset,
+                        "entry " + std::to_string(i) + " has parent " +
+                            std::to_string(parents[i]) +
+                            " above itself (roots must be class minima)");
+    }
+    if (parents[parents[i]] != parents[i]) {
+      return io::Reject(errors, "catalog.parent-compressed", parents_offset,
+                        "entry " + std::to_string(i) +
+                            " points at a non-root parent (forest must be "
+                            "path-compressed)");
+    }
+  }
+  if (!DecodeVerifierMemo(&reader, &out->memo, errors)) return false;
+  const size_t end_offset = reader.offset();
+  if (reader.U64() != io::kCatalogEndMagic || !reader.ok()) {
+    return io::Reject(errors, "catalog.end-magic", end_offset,
+                      "catalog is missing its CATGEND! marker");
+  }
+  reader.ExpectEnd(errors, "catalog.trailing", "the end marker");
+  return true;
+}
+
+Result<std::unique_ptr<EquivalenceCatalog>> EquivalenceCatalog::FromSegment(
+    CatalogSegmentImage image, const CatalogComponents& wiring,
+    const std::vector<PlanPtr>& plans, CatalogOptions options) {
   const uint64_t expected_fingerprint = CatalogFingerprint(*wiring.db_catalog);
-  if (saved_fingerprint != expected_fingerprint) {
+  if (image.schema_fingerprint != expected_fingerprint) {
     return Status::InvalidArgument(
         "catalog snapshot: database schema fingerprint mismatch (snapshot " +
-        std::to_string(saved_fingerprint) + ", current " +
+        std::to_string(image.schema_fingerprint) + ", current " +
         std::to_string(expected_fingerprint) +
         ") — the snapshot was built against a different catalog");
   }
-  if (saved_dim != wiring.model->embedding_dim()) {
+  if (image.embedding_dim != wiring.model->embedding_dim()) {
     return Status::InvalidArgument(
         "catalog snapshot: embedding dim mismatch (snapshot " +
-        std::to_string(saved_dim) + ", model " +
+        std::to_string(image.embedding_dim) + ", model " +
         std::to_string(wiring.model->embedding_dim()) + ")");
   }
-  if (count != plans.size()) {
+  const std::vector<uint64_t>& hashes = image.canonical_hashes;
+  if (hashes.size() != plans.size()) {
     return Status::InvalidArgument(
         "catalog snapshot: entry count mismatch (snapshot " +
-        std::to_string(count) + ", caller supplied " +
+        std::to_string(hashes.size()) + ", caller supplied " +
         std::to_string(plans.size()) + " plans)");
   }
-  std::vector<uint64_t> hashes(count);
-  for (auto& hash : hashes) hash = reader.U64();
-  GEQO_RETURN_NOT_OK(reader.status());
 
   auto catalog =
       std::make_unique<EquivalenceCatalog>(wiring, std::move(options));
   GEQO_RETURN_NOT_OK(catalog->options_status_);
   // Re-derive only the cheap per-entry state (signature, instance encoding,
-  // the two canonical hashes); embeddings come from the serialized index
-  // below and memoized verdicts from the memo section — nothing is
-  // re-embedded or re-proved.
+  // the two canonical hashes); embeddings come from the decoded index and
+  // memoized verdicts from the memo section — nothing is re-embedded or
+  // re-proved.
   for (size_t i = 0; i < plans.size(); ++i) {
     GEQO_ASSIGN_OR_RETURN(QueryContext query, DescribeQuery(wiring, plans[i]));
     if (query.canonical_hash != hashes[i]) {
@@ -425,32 +482,9 @@ Result<std::unique_ptr<EquivalenceCatalog>> EquivalenceCatalog::ImportSnapshot(
                                       query.canonical_hash, query.check_hash,
                                       std::move(query.encoded)});
   }
-  GEQO_ASSIGN_OR_RETURN(catalog->index_, ann::HnswIndex::Deserialize(stream));
-  if (catalog->index_->size() != count) {
-    return Status::InvalidArgument(
-        "catalog snapshot: index holds " +
-        std::to_string(catalog->index_->size()) + " vectors for " +
-        std::to_string(count) + " entries (corrupt snapshot)");
-  }
-  if (catalog->index_->dim() != saved_dim) {
-    return Status::InvalidArgument(
-        "catalog snapshot: index dim does not match header (corrupt "
-        "snapshot)");
-  }
-  std::vector<size_t> parents(count);
-  for (auto& parent : parents) parent = reader.U64();
-  GEQO_RETURN_NOT_OK(reader.status());
-  GEQO_RETURN_NOT_OK(catalog->classes_.Restore(std::move(parents)));
-  GEQO_RETURN_NOT_OK(catalog->memo_.Deserialize(reader));
-  if (reader.U64() != io::kCatalogEndMagic) {
-    reader.Fail("missing end marker");
-  }
-  GEQO_RETURN_NOT_OK(reader.status());
-  if (!reader.AtEof()) {
-    return Status::InvalidArgument(
-        "catalog snapshot: trailing bytes after end marker (corrupt "
-        "snapshot)");
-  }
+  catalog->index_ = ann::HnswIndex::FromImage(std::move(image.index));
+  GEQO_RETURN_NOT_OK(catalog->classes_.Restore(std::move(image.parents)));
+  catalog->memo_.Restore(image.memo);
   if (obs::MetricsEnabled()) catalog->UpdateGauges();
   return catalog;
 }

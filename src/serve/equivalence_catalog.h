@@ -79,6 +79,26 @@ struct ProbeMatch {
   float score = 1.0f;
 };
 
+/// \brief A decoded GEQOCATG segment (layout:
+/// EquivalenceCatalog::ExportSnapshot).
+struct CatalogSegmentImage {
+  uint64_t schema_fingerprint = 0;  ///< CatalogFingerprint of the db schema
+  uint64_t embedding_dim = 0;
+  std::vector<uint64_t> canonical_hashes;  ///< one per entry, Add order
+  ann::HnswImage index;
+  std::vector<size_t> parents;  ///< compressed min-root class forest
+  std::vector<MemoRecord> memo;
+};
+
+/// \brief Decodes one GEQOCATG segment, checksum footer included — the one
+/// decoder of the format, shared by the sharded catalog loader and
+/// geqo_lint. Proves the index agrees with the header (dim, entry count),
+/// the class forest is compressed with minimum roots, and the memo is
+/// sorted and normalized. Refusals carry catalog.* and hnsw.* codes with
+/// segment-relative offsets.
+bool DecodeCatalogSegment(std::string_view bytes, CatalogSegmentImage* out,
+                          io::DecodeErrors* errors);
+
 /// \brief One shard's entries, index, classes, and memo (see file comment).
 class EquivalenceCatalog {
  public:
@@ -200,14 +220,14 @@ class EquivalenceCatalog {
   /// the equivalence classes, and the memo cache.
   Status ExportSnapshot(std::ostream& os) const;
 
-  /// Restores a GEQOCATG segment. \p plans must be the shard's entries in
-  /// Add order (the segment stores their canonical hashes, not the plans).
-  /// Fails loudly on magic/version skew, a different database schema,
-  /// mismatched plans, or a corrupted/truncated stream. Only cheap state
+  /// Binds a decoded GEQOCATG segment to this process. \p plans must be
+  /// the shard's entries in Add order (the segment stores their canonical
+  /// hashes, not the plans). Fails loudly on a different database schema, a
+  /// different model embedding dim, or mismatched plans. Only cheap state
   /// (signatures, instance encodings) is re-derived — embeddings come from
   /// the segment and memoized verdicts are never re-proved.
-  static Result<std::unique_ptr<EquivalenceCatalog>> ImportSnapshot(
-      std::istream& is, const CatalogComponents& wiring,
+  static Result<std::unique_ptr<EquivalenceCatalog>> FromSegment(
+      CatalogSegmentImage image, const CatalogComponents& wiring,
       const std::vector<PlanPtr>& plans, CatalogOptions options);
 
   CatalogComponents wiring_;

@@ -380,12 +380,6 @@ Status CatalogStore::Recover(
     for (const WalRecord& record : part.records) {
       switch (record.type) {
         case WalRecordType::kVerdict: {
-          if (record.a > record.b ||
-              (record.a == record.b && record.c > record.d)) {
-            return Status::InvalidArgument(
-                part.path + ": verdict key violates the memo's order "
-                            "normalization (corrupt log)");
-          }
           KillPoint("replay-record");
           const CheckedPair pair{PairFingerprint{record.a, record.b},
                                  MemoCheck{record.c, record.d}};

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include "common/binary_io.h"
@@ -19,9 +20,6 @@
 namespace geqo::serve::persist {
 
 namespace {
-
-/// Same sanity bound as the sharded catalog's option validation.
-constexpr uint64_t kMaxShards = 4096;
 
 char Digit(uint64_t v, uint64_t div) { return '0' + (v / div) % 10; }
 
@@ -111,6 +109,92 @@ Status WriteManifest(const std::string& dir, const ManifestState& state) {
   return Status::OK();
 }
 
+bool DecodeManifest(std::string_view bytes, ManifestState* out,
+                    io::DecodeErrors* errors) {
+  io::ByteReader reader(io::CheckFooter(bytes, "manifest", errors));
+  if (reader.U64() != io::kManifestMagic || !reader.ok()) {
+    return io::Reject(errors, "manifest.magic", 0, "missing GEQOMANI magic");
+  }
+  const size_t version_offset = reader.offset();
+  const uint64_t version = reader.U64();
+  if (!reader.ok() || version != io::kManifestVersion) {
+    return io::Reject(errors, "manifest.version", version_offset,
+                      "unsupported manifest version " +
+                          std::to_string(version));
+  }
+  const size_t kind_offset = reader.offset();
+  const uint64_t kind = reader.U64();
+  const size_t shards_offset = reader.offset();
+  out->num_shards = reader.U64();
+  const size_t base_offset = reader.offset();
+  out->base_id = reader.U64();
+  out->base_entry_count = reader.U64();
+  const size_t allocator_offset = reader.offset();
+  out->next_file_id = reader.U64();
+  const size_t logs_offset = reader.offset();
+  const uint64_t num_logs = reader.U64();
+  if (!reader.ok()) {
+    return io::Reject(errors, "manifest.truncated", 0,
+                      "manifest header is cut off");
+  }
+  if (kind != io::kManifestShardedKind) {
+    return io::Reject(errors, "manifest.kind", kind_offset,
+                      "unsupported store kind " + std::to_string(kind) +
+                          " (only sharded-catalog stores, kind " +
+                          std::to_string(io::kManifestShardedKind) +
+                          ", are readable)");
+  }
+  if (out->num_shards == 0 || out->num_shards > io::kMaxStoredShards) {
+    return io::Reject(errors, "manifest.shard-count", shards_offset,
+                      "implausible shard count " +
+                          std::to_string(out->num_shards));
+  }
+  if (out->base_id == 0 && out->base_entry_count != 0) {
+    io::Reject(errors, "manifest.base", base_offset,
+               "entry count " + std::to_string(out->base_entry_count) +
+                   " without a base segment");
+  }
+  if (out->base_id != 0 && out->base_id >= out->next_file_id) {
+    io::Reject(errors, "manifest.base", allocator_offset,
+               "base id " + std::to_string(out->base_id) +
+                   " outruns the id allocator (next " +
+                   std::to_string(out->next_file_id) + ")");
+  }
+  if (!reader.Fits(num_logs, sizeof(uint64_t))) {
+    return io::Reject(errors, "manifest.truncated", logs_offset,
+                      "log list of " + std::to_string(num_logs) +
+                          " ids exceeds what the file can hold");
+  }
+  out->log_ids.clear();
+  out->log_ids.reserve(num_logs);
+  uint64_t prev = 0;
+  for (uint64_t i = 0; i < num_logs; ++i) {
+    const size_t id_offset = reader.offset();
+    const uint64_t id = reader.U64();
+    if (id == 0 || id <= prev) {
+      return io::Reject(errors, "manifest.log-ids", id_offset,
+                        "log ids must be nonzero and strictly increasing (id " +
+                            std::to_string(id) + " after " +
+                            std::to_string(prev) + ")");
+    }
+    if (id >= out->next_file_id || id == out->base_id) {
+      return io::Reject(errors, "manifest.log-ids", id_offset,
+                        "log id " + std::to_string(id) +
+                            " collides with the id allocator or the base "
+                            "segment");
+    }
+    out->log_ids.push_back(id);
+    prev = id;
+  }
+  const size_t end_offset = reader.offset();
+  if (reader.U64() != io::kManifestEndMagic || !reader.ok()) {
+    return io::Reject(errors, "manifest.end-magic", end_offset,
+                      "manifest is missing its end marker");
+  }
+  reader.ExpectEnd(errors, "manifest.trailing", "the end marker");
+  return true;
+}
+
 Result<ManifestState> ReadManifest(const std::string& dir) {
   const std::string path = dir + "/" + ManifestFileName();
   std::ifstream file(path, std::ios::binary);
@@ -118,79 +202,13 @@ Result<ManifestState> ReadManifest(const std::string& dir) {
     return Status::IoError("cannot open manifest " + path + ": " +
                            std::strerror(errno));
   }
-  const std::string context = "catalog store manifest " + path;
-  GEQO_ASSIGN_OR_RETURN(const std::string payload,
-                        io::ReadChecksummed(file, context));
-  std::istringstream stream(payload);
-  io::BinaryReader reader(stream, context);
-  const uint64_t magic = reader.U64();
-  GEQO_RETURN_NOT_OK(reader.status());
-  if (magic != io::kManifestMagic) {
-    return Status::InvalidArgument(context +
-                                   ": bad magic (not a store manifest)");
-  }
-  const uint64_t version = reader.U64();
-  GEQO_RETURN_NOT_OK(reader.status());
-  if (version != io::kManifestVersion) {
-    return Status::InvalidArgument(
-        context + ": unsupported version " + std::to_string(version) +
-        " (expected " + std::to_string(io::kManifestVersion) + ")");
-  }
+  const std::string bytes((std::istreambuf_iterator<char>(file)),
+                          std::istreambuf_iterator<char>());
   ManifestState state;
-  const uint64_t kind = reader.U64();
-  state.num_shards = reader.U64();
-  state.base_id = reader.U64();
-  state.base_entry_count = reader.U64();
-  state.next_file_id = reader.U64();
-  const uint64_t num_logs = reader.U64();
-  GEQO_RETURN_NOT_OK(reader.status());
-  if (kind != io::kManifestShardedKind) {
-    return Status::InvalidArgument(
-        context + ": unsupported store kind " + std::to_string(kind) +
-        " (only sharded-catalog stores, kind " +
-        std::to_string(io::kManifestShardedKind) + ", are readable)");
-  }
-  if (state.num_shards == 0 || state.num_shards > kMaxShards) {
-    return Status::InvalidArgument(
-        context + ": implausible shard count " +
-        std::to_string(state.num_shards) + " (corrupt manifest)");
-  }
-  if (num_logs > payload.size()) {
-    return Status::InvalidArgument(
-        context + ": implausible log count (corrupt manifest)");
-  }
-  state.log_ids.resize(num_logs);
-  uint64_t prev = 0;
-  for (uint64_t& id : state.log_ids) {
-    id = reader.U64();
-    if (reader.ok() && (id == 0 || id <= prev)) {
-      reader.Fail("log ids must be nonzero and strictly increasing");
-    }
-    prev = id;
-  }
-  GEQO_RETURN_NOT_OK(reader.status());
-  if (reader.U64() != io::kManifestEndMagic) reader.Fail("missing end marker");
-  GEQO_RETURN_NOT_OK(reader.status());
-  if (!reader.AtEof()) {
-    return Status::InvalidArgument(
-        context + ": trailing bytes after end marker (corrupt manifest)");
-  }
-  for (const uint64_t id : state.log_ids) {
-    if (id >= state.next_file_id || id == state.base_id) {
-      return Status::InvalidArgument(
-          context + ": log id " + std::to_string(id) +
-          " collides with the id allocator or the base segment (corrupt "
-          "manifest)");
-    }
-  }
-  if (state.base_id >= state.next_file_id && state.base_id != 0) {
-    return Status::InvalidArgument(
-        context + ": base id outruns the id allocator (corrupt manifest)");
-  }
-  if (state.base_id == 0 && state.base_entry_count != 0) {
-    return Status::InvalidArgument(
-        context + ": entry count without a base segment (corrupt manifest)");
-  }
+  io::DecodeErrors errors;
+  DecodeManifest(bytes, &state, &errors);
+  GEQO_RETURN_NOT_OK(
+      io::DecodeStatus(errors, "catalog store manifest " + path));
   return state;
 }
 

@@ -2,8 +2,10 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/binary_io.h"
 #include "common/result.h"
 #include "common/status.h"
 
@@ -51,8 +53,15 @@ std::string WalPartitionFileName(uint64_t id, uint64_t shard);
 /// "manifest-renamed" (new manifest live, caller not yet resumed).
 Status WriteManifest(const std::string& dir, const ManifestState& state);
 
-/// Reads and fully validates dir/MANIFEST (checksum, magic/version, field
-/// plausibility, log-id ordering).
+/// Decodes GEQOMANI \p bytes (checksum footer included) — the one decoder
+/// of the format, shared by ReadManifest and geqo_lint: magic/version, the
+/// sharded store kind, field plausibility, and log ids that are nonzero,
+/// strictly increasing, and clear of the base id and the id allocator.
+/// Refusals carry manifest.* codes.
+bool DecodeManifest(std::string_view bytes, ManifestState* out,
+                    io::DecodeErrors* errors);
+
+/// Reads dir/MANIFEST and decodes it with DecodeManifest.
 Result<ManifestState> ReadManifest(const std::string& dir);
 
 }  // namespace geqo::serve::persist

@@ -61,52 +61,6 @@ std::string EncodeWalRecord(const WalRecord& record) {
   return payload.str();
 }
 
-Result<WalRecord> DecodeWalRecord(const std::string& payload,
-                                  const std::string& context) {
-  std::istringstream stream(payload);
-  io::BinaryReader reader(stream, context);
-  WalRecord record;
-  const uint8_t type = reader.U8();
-  GEQO_RETURN_NOT_OK(reader.status());
-  switch (static_cast<WalRecordType>(type)) {
-    case WalRecordType::kAddEntry:
-      record.type = WalRecordType::kAddEntry;
-      record.gid = reader.U64();
-      record.a = reader.U64();
-      record.b = reader.U64();
-      break;
-    case WalRecordType::kVerdict:
-      record.type = WalRecordType::kVerdict;
-      record.a = reader.U64();
-      record.b = reader.U64();
-      record.c = reader.U64();
-      record.d = reader.U64();
-      record.verdict = reader.U8();
-      if (reader.ok() &&
-          record.verdict > static_cast<uint8_t>(EquivalenceVerdict::kUnknown)) {
-        reader.Fail("verdict byte " + std::to_string(record.verdict) +
-                    " out of range");
-      }
-      break;
-    case WalRecordType::kUnion:
-    case WalRecordType::kPending:
-      record.type = static_cast<WalRecordType>(type);
-      record.a = reader.U64();
-      record.b = reader.U64();
-      break;
-    default:
-      return Status::InvalidArgument(context + ": unknown record type " +
-                                     std::to_string(type) +
-                                     " (corrupt log record)");
-  }
-  GEQO_RETURN_NOT_OK(reader.status());
-  if (!reader.AtEof()) {
-    return Status::InvalidArgument(
-        context + ": trailing bytes inside a framed record (corrupt log)");
-  }
-  return record;
-}
-
 Result<std::unique_ptr<WalWriter>> WalWriter::Create(const std::string& path,
                                                      uint64_t file_id,
                                                      uint64_t shard) {
@@ -142,6 +96,116 @@ Status WalWriter::Append(const WalRecord& record, bool flush) {
 
 Status WalWriter::Sync() { return SyncFile(file_, path_); }
 
+bool DecodeWal(std::string_view bytes, WalReplay* out,
+               io::DecodeErrors* errors) {
+  if (bytes.size() < kHeaderSize) {
+    // The creation crash window: the partition exists but its header never
+    // completed, so it cannot hold records. The caller decides whether this
+    // generation is allowed to be half-created.
+    out->header_torn = true;
+    out->torn = true;
+    return true;
+  }
+  io::ByteReader header(bytes);
+  if (header.U64() != io::kWalMagic) {
+    return io::Reject(errors, "wal.magic", 0, "missing GEQOWALG magic");
+  }
+  const uint64_t version = header.U64();
+  if (version != io::kWalVersion) {
+    return io::Reject(errors, "wal.version", sizeof(uint64_t),
+                      "unsupported log version " + std::to_string(version));
+  }
+  out->file_id = header.U64();
+  out->shard = header.U64();
+  if (out->file_id == 0) {
+    io::Reject(errors, "wal.file-id", 2 * sizeof(uint64_t),
+               "partition header names file id 0 (never issued)");
+  }
+  if (out->shard >= io::kMaxStoredShards) {
+    return io::Reject(errors, "wal.shard", 3 * sizeof(uint64_t),
+                      "implausible shard index " + std::to_string(out->shard));
+  }
+  const io::FramedScan scan = io::ScanFramedRecords(bytes, kHeaderSize);
+  if (scan.mid_corruption) {
+    return io::Reject(errors, "wal.mid-corruption", scan.clean_size,
+                      "a record fails its checksum but valid records follow "
+                      "— interior damage, not a torn tail (refusing to "
+                      "truncate over durable records)");
+  }
+  out->torn = scan.torn;
+  out->clean_size = scan.clean_size;
+  out->records.clear();
+  out->records.reserve(scan.records.size());
+  size_t offset = kHeaderSize;
+  bool saw_add = false;
+  uint64_t prev_add_gid = 0;
+  for (size_t i = 0; i < scan.records.size(); ++i) {
+    const std::string at = "record " + std::to_string(i);
+    io::ByteReader reader(scan.records[i]);
+    WalRecord record;
+    record.type = static_cast<WalRecordType>(reader.U8());
+    switch (record.type) {
+      case WalRecordType::kAddEntry:
+        record.gid = reader.U64();
+        record.a = reader.U64();
+        record.b = reader.U64();
+        break;
+      case WalRecordType::kVerdict:
+        record.a = reader.U64();
+        record.b = reader.U64();
+        record.c = reader.U64();
+        record.d = reader.U64();
+        record.verdict = reader.U8();
+        break;
+      case WalRecordType::kUnion:
+      case WalRecordType::kPending:
+        record.a = reader.U64();
+        record.b = reader.U64();
+        break;
+      default:
+        return io::Reject(errors, "wal.record-type", offset,
+                          at + " has unknown type " +
+                              std::to_string(static_cast<int>(record.type)));
+    }
+    if (!reader.ok() || !reader.AtEnd()) {
+      return io::Reject(errors, "wal.record-size", offset,
+                        at + " does not match its type's payload size");
+    }
+    if (record.type == WalRecordType::kAddEntry) {
+      if (saw_add && record.gid <= prev_add_gid) {
+        return io::Reject(errors, "wal.add-order", offset,
+                          at + " adds gid " + std::to_string(record.gid) +
+                              " at or below an earlier add in the same "
+                              "partition (gid " +
+                              std::to_string(prev_add_gid) + ")");
+      }
+      saw_add = true;
+      prev_add_gid = record.gid;
+    }
+    if (record.type == WalRecordType::kVerdict) {
+      if (record.a > record.b || (record.a == record.b && record.c > record.d)) {
+        return io::Reject(errors, "wal.verdict-key", offset,
+                          at + " carries a non-normalized memo key");
+      }
+      if (record.verdict >
+          static_cast<uint8_t>(EquivalenceVerdict::kUnknown)) {
+        return io::Reject(errors, "wal.verdict-range", offset,
+                          at + " has verdict byte " +
+                              std::to_string(record.verdict) +
+                              " outside the tri-state range");
+      }
+    }
+    if (record.type == WalRecordType::kUnion && record.a == record.b) {
+      return io::Reject(errors, "wal.union", offset,
+                        at + " unions gid " + std::to_string(record.a) +
+                            " with itself");
+    }
+    out->records.push_back(record);
+    offset += io::kFrameOverhead + scan.records[i].size();
+  }
+  return true;
+}
+
 Result<WalReplay> ReadWalFile(const std::string& path, uint64_t expect_file_id,
                               uint64_t expect_shard) {
   std::ifstream in(path, std::ios::binary);
@@ -150,50 +214,16 @@ Result<WalReplay> ReadWalFile(const std::string& path, uint64_t expect_file_id,
                           std::istreambuf_iterator<char>());
   const std::string context = "log partition " + path;
   WalReplay replay;
-  if (bytes.size() < kHeaderSize) {
-    // The creation crash window: the partition exists but its header never
-    // completed, so it cannot hold records. The caller decides whether this
-    // generation is allowed to be half-created.
-    replay.header_torn = true;
-    replay.torn = true;
-    return replay;
-  }
-  uint64_t header[4] = {};
-  std::memcpy(header, bytes.data(), kHeaderSize);
-  if (header[0] != io::kWalMagic) {
-    return Status::InvalidArgument(context +
-                                   ": bad magic (not a catalog delta log)");
-  }
-  if (header[1] != io::kWalVersion) {
-    return Status::InvalidArgument(
-        context + ": unsupported version " + std::to_string(header[1]) +
-        " (expected " + std::to_string(io::kWalVersion) + ")");
-  }
-  replay.file_id = header[2];
-  replay.shard = header[3];
-  if (replay.file_id != expect_file_id || replay.shard != expect_shard) {
+  io::DecodeErrors errors;
+  DecodeWal(bytes, &replay, &errors);
+  GEQO_RETURN_NOT_OK(io::DecodeStatus(errors, context));
+  if (!replay.header_torn &&
+      (replay.file_id != expect_file_id || replay.shard != expect_shard)) {
     return Status::InvalidArgument(
         context + ": header names file " + std::to_string(replay.file_id) +
         " shard " + std::to_string(replay.shard) + ", manifest expects file " +
         std::to_string(expect_file_id) + " shard " +
         std::to_string(expect_shard) + " (misplaced or corrupt log)");
-  }
-  io::FramedScan scan = io::ScanFramedRecords(bytes, kHeaderSize);
-  if (scan.mid_corruption) {
-    return Status::InvalidArgument(
-        context + ": record at offset " + std::to_string(scan.clean_size) +
-        " fails its checksum but valid records follow — mid-log corruption, "
-        "not a torn tail (refusing to truncate over durable records)");
-  }
-  replay.torn = scan.torn;
-  replay.clean_size = scan.clean_size;
-  replay.records.reserve(scan.records.size());
-  for (size_t i = 0; i < scan.records.size(); ++i) {
-    GEQO_ASSIGN_OR_RETURN(
-        WalRecord record,
-        DecodeWalRecord(scan.records[i],
-                        context + ", record " + std::to_string(i)));
-    replay.records.push_back(record);
   }
   return replay;
 }

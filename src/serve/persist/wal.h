@@ -4,8 +4,10 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/binary_io.h"
 #include "common/result.h"
 #include "common/status.h"
 
@@ -87,12 +89,6 @@ struct WalRecord {
 /// Serializes \p record into its framed payload bytes (no frame).
 std::string EncodeWalRecord(const WalRecord& record);
 
-/// Decodes one framed payload; structural errors (bad type, out-of-range
-/// verdict, short/long payload) are loud — a checksum-valid record cannot
-/// be torn, so they mean corruption or a software bug, never truncation.
-Result<WalRecord> DecodeWalRecord(const std::string& payload,
-                                  const std::string& context);
-
 /// \brief Appender for one log partition. Writes through stdio (FILE*) so
 /// Sync() can reach fsync(2); destructors close without syncing.
 class WalWriter {
@@ -126,7 +122,8 @@ class WalWriter {
   uint64_t appended_ = 0;
 };
 
-/// Everything recovery needs to know about one partition on disk.
+/// Everything recovery needs to know about one partition on disk: the
+/// decoded GEQOWALG file.
 struct WalReplay {
   uint64_t file_id = 0;
   uint64_t shard = 0;
@@ -139,9 +136,21 @@ struct WalReplay {
   bool header_torn = false;
 };
 
-/// Reads and validates one partition. Torn tails come back as data
-/// (replay.torn + clean_size); bad magic/version, field mismatches against
-/// \p expect_file_id / \p expect_shard, and mid-log corruption are errors.
+/// Decodes a GEQOWALG partition — the one decoder of the format, shared by
+/// ReadWalFile and geqo_lint. A torn state is data, not an error: a file
+/// shorter than its header comes back header_torn, and bytes past the last
+/// valid frame come back as torn with the clean prefix's size. Refused
+/// with wal.* codes: bad magic/version, file id 0, an implausible shard,
+/// mid-log corruption, and any checksum-valid record that breaks the
+/// grammar — unknown type, wrong payload size, verdict byte out of range,
+/// non-normalized memo key, a self-union, or an add whose gid is not above
+/// every earlier add in the partition. A checksum-valid record cannot be
+/// torn, so these mean corruption or a software bug, never truncation.
+bool DecodeWal(std::string_view bytes, WalReplay* out,
+               io::DecodeErrors* errors);
+
+/// Reads one partition and decodes it with DecodeWal; the header must name
+/// \p expect_file_id / \p expect_shard (the manifest slot it was read for).
 Result<WalReplay> ReadWalFile(const std::string& path, uint64_t expect_file_id,
                               uint64_t expect_shard);
 

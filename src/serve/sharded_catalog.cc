@@ -8,6 +8,8 @@
 #endif
 
 #include <algorithm>
+#include <istream>
+#include <iterator>
 #include <map>
 #include <set>
 #include <sstream>
@@ -27,7 +29,6 @@ namespace geqo::serve {
 
 namespace {
 
-constexpr size_t kMaxShards = 4096;
 constexpr size_t kMaxVerifierThreads = 256;
 
 double SumStageSeconds(const std::vector<StageReport>& stages) {
@@ -121,10 +122,10 @@ Status ShardedCatalogOptions::Validate() const {
   if (num_shards == 0) {
     return Status::InvalidArgument("sharded catalog: num_shards must be >= 1");
   }
-  if (num_shards > kMaxShards) {
+  if (num_shards > io::kMaxStoredShards) {
     return Status::InvalidArgument(
         "sharded catalog: num_shards " + std::to_string(num_shards) +
-        " exceeds the sanity bound " + std::to_string(kMaxShards));
+        " exceeds the sanity bound " + std::to_string(io::kMaxStoredShards));
   }
   if (verifier_threads > kMaxVerifierThreads) {
     return Status::InvalidArgument(
@@ -741,51 +742,143 @@ Status ShardedCatalog::ExportBase(std::ostream& os,
   return WriteSnapshotLocked(os, nullptr);
 }
 
+bool DecodeShardedSnapshot(std::string_view bytes, ShardedSnapshotImage* out,
+                           io::DecodeErrors* errors) {
+  const std::string_view payload = io::CheckFooter(bytes, "sharded", errors);
+  io::ByteReader reader(payload);
+  if (reader.U64() != io::kShardedCatalogMagic || !reader.ok()) {
+    return io::Reject(errors, "sharded.magic", 0, "missing GEQOSHRD magic");
+  }
+  const size_t version_offset = reader.offset();
+  const uint64_t version = reader.U64();
+  if (!reader.ok() || version != io::kShardedCatalogVersion) {
+    return io::Reject(errors, "sharded.version", version_offset,
+                      "unsupported sharded catalog version " +
+                          std::to_string(version));
+  }
+  const size_t shards_offset = reader.offset();
+  out->num_shards = reader.U64();
+  const size_t count_offset = reader.offset();
+  const uint64_t count = reader.U64();
+  if (!reader.ok()) {
+    return io::Reject(errors, "sharded.truncated", 0,
+                      "container header is cut off");
+  }
+  const uint64_t num_shards = out->num_shards;
+  if (num_shards == 0 || num_shards > io::kMaxStoredShards) {
+    return io::Reject(errors, "sharded.shard-count", shards_offset,
+                      "implausible shard count " + std::to_string(num_shards));
+  }
+  if (!reader.Fits(count, sizeof(uint64_t))) {
+    return io::Reject(errors, "sharded.entry-count", count_offset,
+                      "entry count " + std::to_string(count) +
+                          " exceeds what the file can hold");
+  }
+  const size_t routing_offset = reader.offset();
+  out->shard_of.resize(count);
+  std::vector<uint64_t> per_shard(num_shards, 0);
+  for (uint64_t gid = 0; gid < count; ++gid) {
+    const uint64_t sid = reader.U64();
+    if (sid >= num_shards) {
+      return io::Reject(errors, "sharded.shard-range", routing_offset,
+                        "entry " + std::to_string(gid) + " routes to shard " +
+                            std::to_string(sid) + " of " +
+                            std::to_string(num_shards));
+    }
+    out->shard_of[gid] = sid;
+    ++per_shard[sid];
+  }
+  out->segments.clear();
+  for (uint64_t sid = 0; sid < num_shards; ++sid) {
+    const size_t segment_offset = reader.offset();
+    const uint64_t segment_size = reader.U64();
+    const std::string_view segment = reader.Bytes(segment_size);
+    if (!reader.ok()) {
+      return io::Reject(errors, "sharded.truncated", segment_offset,
+                        "shard " + std::to_string(sid) +
+                            " segment is cut off");
+    }
+    // Segment errors carry segment-relative offsets; anchor them with a
+    // container-level note.
+    const size_t errors_before = errors->size();
+    DecodeCatalogSegment(segment, &out->segments.emplace_back(), errors);
+    if (errors->size() > errors_before) {
+      return io::Reject(errors, "sharded.segment", segment_offset,
+                        "shard " + std::to_string(sid) +
+                            " segment failed the catalog decode "
+                            "(segment-relative offsets above)");
+    }
+    const size_t segment_count =
+        out->segments.back().canonical_hashes.size();
+    if (segment_count != per_shard[sid]) {
+      return io::Reject(errors, "sharded.segment-count", segment_offset,
+                        "shard " + std::to_string(sid) + " segment holds " +
+                            std::to_string(segment_count) +
+                            " entries but the routing table assigns it " +
+                            std::to_string(per_shard[sid]));
+    }
+  }
+  // Pending-verification tail: sorted, deduplicated (query gid, member gid)
+  // pairs. Both endpoints must exist and share a shard — equivalence classes
+  // never span shards, so a cross-shard pair is corruption.
+  const size_t pending_offset = reader.offset();
+  const uint64_t num_pending = reader.U64();
+  if (!reader.Fits(num_pending, 2 * sizeof(uint64_t))) {
+    return io::Reject(errors, "sharded.truncated", pending_offset,
+                      "pending-verification tail is cut off");
+  }
+  out->pending.clear();
+  out->pending.reserve(num_pending);
+  for (uint64_t i = 0; i < num_pending; ++i) {
+    const size_t pair_offset = reader.offset();
+    const uint64_t query_gid = reader.U64();
+    const uint64_t member_gid = reader.U64();
+    if (query_gid >= count || member_gid >= count) {
+      return io::Reject(
+          errors, "sharded.pending-range", pair_offset,
+          "pending pair " + std::to_string(i) + " names entry " +
+              std::to_string(query_gid >= count ? query_gid : member_gid) +
+              " beyond the " + std::to_string(count) + " stored entries");
+    }
+    if (out->shard_of[query_gid] != out->shard_of[member_gid]) {
+      return io::Reject(errors, "sharded.pending-shard", pair_offset,
+                        "pending pair " + std::to_string(i) +
+                            " spans shards — equivalence classes never do");
+    }
+    if (!out->pending.empty() &&
+        out->pending.back() >= std::make_pair(query_gid, member_gid)) {
+      return io::Reject(errors, "sharded.pending-order", pair_offset,
+                        "pending pairs are not strictly sorted at pair " +
+                            std::to_string(i));
+    }
+    out->pending.emplace_back(query_gid, member_gid);
+  }
+  const size_t end_offset = reader.offset();
+  if (reader.U64() != io::kShardedCatalogEndMagic || !reader.ok()) {
+    return io::Reject(errors, "sharded.end-magic", end_offset,
+                      "sharded catalog is missing its end marker");
+  }
+  reader.ExpectEnd(errors, "sharded.trailing", "the end marker");
+  return true;
+}
+
 Result<std::unique_ptr<ShardedCatalog>> ShardedCatalog::ImportSnapshot(
     std::istream& is, const CatalogComponents& components,
     const std::vector<PlanPtr>& plans, ShardedCatalogOptions options) {
-  GEQO_ASSIGN_OR_RETURN(const std::string payload,
-                        io::ReadChecksummed(is, "sharded catalog snapshot"));
-  std::istringstream stream(payload);
-  io::BinaryReader reader(stream, "sharded catalog snapshot");
-  const uint64_t magic = reader.U64();
-  GEQO_RETURN_NOT_OK(reader.status());
-  if (magic != io::kShardedCatalogMagic) {
-    return Status::InvalidArgument(
-        "sharded catalog snapshot: bad magic (not a sharded catalog "
-        "snapshot)");
-  }
-  const uint64_t version = reader.U64();
-  GEQO_RETURN_NOT_OK(reader.status());
-  if (version != io::kShardedCatalogVersion) {
-    return Status::InvalidArgument(
-        "sharded catalog snapshot: unsupported version " +
-        std::to_string(version) + " (expected " +
-        std::to_string(io::kShardedCatalogVersion) + ")");
-  }
-  const uint64_t num_shards = reader.U64();
-  const uint64_t count = reader.U64();
-  GEQO_RETURN_NOT_OK(reader.status());
-  if (num_shards == 0 || num_shards > kMaxShards) {
-    return Status::InvalidArgument(
-        "sharded catalog snapshot: implausible shard count " +
-        std::to_string(num_shards) + " (corrupt snapshot)");
-  }
+  const std::string bytes((std::istreambuf_iterator<char>(is)),
+                          std::istreambuf_iterator<char>());
+  ShardedSnapshotImage image;
+  io::DecodeErrors errors;
+  DecodeShardedSnapshot(bytes, &image, &errors);
+  GEQO_RETURN_NOT_OK(io::DecodeStatus(errors, "sharded catalog snapshot"));
+  const uint64_t num_shards = image.num_shards;
+  const size_t count = image.shard_of.size();
   if (count != plans.size()) {
     return Status::InvalidArgument(
         "sharded catalog snapshot: entry count mismatch (snapshot " +
         std::to_string(count) + ", caller supplied " +
         std::to_string(plans.size()) + " plans)");
   }
-  std::vector<size_t> shard_of(count);
-  for (auto& sid : shard_of) {
-    sid = reader.U64();
-    if (reader.ok() && sid >= num_shards) {
-      reader.Fail("entry routed to shard " + std::to_string(sid) +
-                  " of " + std::to_string(num_shards));
-    }
-  }
-  GEQO_RETURN_NOT_OK(reader.status());
 
   // Routing must stay consistent with the ids already assigned, so the
   // shard count is adopted from the snapshot regardless of the option.
@@ -796,34 +889,24 @@ Result<std::unique_ptr<ShardedCatalog>> ShardedCatalog::ImportSnapshot(
   // Split the global plan list into per-shard lists (local order == global
   // order restricted to the shard) and rebuild both id maps. Everything is
   // staged in locals and installed under the proper locks only once the
-  // whole snapshot has validated — no guarded member is ever written (or
-  // read, for the pending tail below) without its lock.
+  // whole snapshot has bound — no guarded member is ever written (or read,
+  // for the pending tail below) without its lock.
   std::vector<std::vector<PlanPtr>> shard_plans(num_shards);
   std::vector<std::pair<size_t, size_t>> gmap;
   std::vector<std::vector<size_t>> to_global(num_shards);
   gmap.reserve(count);
   for (size_t gid = 0; gid < count; ++gid) {
-    const size_t sid = shard_of[gid];
+    const size_t sid = image.shard_of[gid];
     gmap.emplace_back(sid, shard_plans[sid].size());
     to_global[sid].push_back(gid);
     shard_plans[sid].push_back(plans[gid]);
   }
   std::vector<std::unique_ptr<EquivalenceCatalog>> shard_catalogs(num_shards);
   for (size_t sid = 0; sid < num_shards; ++sid) {
-    const uint64_t segment_size = reader.U64();
-    GEQO_RETURN_NOT_OK(reader.status());
-    if (segment_size > payload.size()) {
-      return Status::InvalidArgument(
-          "sharded catalog snapshot: shard " + std::to_string(sid) +
-          " segment length exceeds the payload (corrupt snapshot)");
-    }
-    std::string segment(segment_size, '\0');
-    reader.Bytes(segment.data(), segment.size());
-    GEQO_RETURN_NOT_OK(reader.status());
-    std::istringstream segment_stream(segment);
     Result<std::unique_ptr<EquivalenceCatalog>> loaded =
-        EquivalenceCatalog::ImportSnapshot(segment_stream, components,
-                                           shard_plans[sid], options.catalog);
+        EquivalenceCatalog::FromSegment(std::move(image.segments[sid]),
+                                        components, shard_plans[sid],
+                                        options.catalog);
     if (!loaded.ok()) {
       return Status(loaded.status().code(), "sharded catalog snapshot: shard " +
                                                 std::to_string(sid) + ": " +
@@ -831,30 +914,10 @@ Result<std::unique_ptr<ShardedCatalog>> ShardedCatalog::ImportSnapshot(
     }
     shard_catalogs[sid] = std::move(*loaded);
   }
-  const uint64_t num_pending = reader.U64();
-  GEQO_RETURN_NOT_OK(reader.status());
-  if (num_pending > payload.size()) {
-    return Status::InvalidArgument(
-        "sharded catalog snapshot: implausible pending-tail count (corrupt "
-        "snapshot)");
-  }
   std::vector<VerifyTask> pending;
-  pending.reserve(num_pending);
-  for (uint64_t i = 0; i < num_pending; ++i) {
-    const uint64_t query_gid = reader.U64();
-    const uint64_t member_gid = reader.U64();
-    GEQO_RETURN_NOT_OK(reader.status());
-    if (query_gid >= count || member_gid >= count) {
-      return Status::InvalidArgument(
-          "sharded catalog snapshot: pending pair references entry beyond "
-          "the catalog (corrupt snapshot)");
-    }
-    if (shard_of[query_gid] != shard_of[member_gid]) {
-      return Status::InvalidArgument(
-          "sharded catalog snapshot: pending pair spans shards — classes "
-          "never do (corrupt snapshot)");
-    }
-    const size_t sid = shard_of[query_gid];
+  pending.reserve(image.pending.size());
+  for (const auto& [query_gid, member_gid] : image.pending) {
+    const size_t sid = image.shard_of[query_gid];
     const size_t query_local = gmap[query_gid].second;
     const auto& entry = shard_catalogs[sid]->entries_[query_local];
     VerifyTask task;
@@ -865,15 +928,6 @@ Result<std::unique_ptr<ShardedCatalog>> ShardedCatalog::ImportSnapshot(
     task.query_local = query_local;
     task.agenda = {gmap[member_gid].second};
     pending.push_back(std::move(task));
-  }
-  if (reader.U64() != io::kShardedCatalogEndMagic) {
-    reader.Fail("missing end marker");
-  }
-  GEQO_RETURN_NOT_OK(reader.status());
-  if (!reader.AtEof()) {
-    return Status::InvalidArgument(
-        "sharded catalog snapshot: trailing bytes after end marker (corrupt "
-        "snapshot)");
   }
   // Install the staged state. The worker pool is already running but can
   // see nothing until the backlog below is pushed; the locks keep the

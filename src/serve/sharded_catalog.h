@@ -5,7 +5,9 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/mutex.h"
@@ -158,6 +160,26 @@ struct ShardedProbeAddResult {
   size_t id = 0;
 };
 
+/// \brief A decoded GEQOSHRD container (layout:
+/// ShardedCatalog::ExportSnapshot).
+struct ShardedSnapshotImage {
+  uint64_t num_shards = 0;
+  std::vector<uint64_t> shard_of;             ///< per global id, Add order
+  std::vector<CatalogSegmentImage> segments;  ///< one per shard
+  /// The pending-verification tail: sorted, distinct (query gid, member
+  /// gid) pairs whose endpoints share a shard.
+  std::vector<std::pair<uint64_t, uint64_t>> pending;
+};
+
+/// \brief Decodes a GEQOSHRD container, checksum footer included — the one
+/// decoder of the format, shared by ShardedCatalog::ImportSnapshot and
+/// geqo_lint. Each shard segment goes through DecodeCatalogSegment, and its
+/// decoded entry count must match the routing table. Refusals carry
+/// sharded.* codes, plus the segment's own catalog.* / hnsw.* codes (with
+/// segment-relative offsets) followed by a sharded.segment anchor.
+bool DecodeShardedSnapshot(std::string_view bytes, ShardedSnapshotImage* out,
+                           io::DecodeErrors* errors);
+
 /// \brief A sharded, concurrently-servable equivalence catalog with an
 /// async verification plane.
 class ShardedCatalog {
@@ -230,8 +252,10 @@ class ShardedCatalog {
   /// pairs are gone.
   Status ExportSnapshot(std::ostream& os) const;
 
-  /// Restores a GEQOSHRD export. \p plans must be all entries in global Add
-  /// order (the snapshot stores their canonical hashes, not the plans). The
+  /// Restores a GEQOSHRD export: DecodeShardedSnapshot, then bind each
+  /// segment (EquivalenceCatalog::FromSegment). \p plans must be all
+  /// entries in global Add order (the snapshot stores their canonical
+  /// hashes, not the plans). The
   /// shard count is adopted from the snapshot (routing must stay consistent
   /// with the ids already assigned); \p options.num_shards is ignored. The
   /// pending-verification tail is re-enqueued, ready for the worker pool or

@@ -20,33 +20,60 @@ void VerifierMemo::Serialize(io::BinaryWriter& writer) const {
   }
 }
 
-Status VerifierMemo::Deserialize(io::BinaryReader& reader) {
-  const uint64_t count = reader.U64();
-  GEQO_RETURN_NOT_OK(reader.status());
+void VerifierMemo::Restore(const std::vector<MemoRecord>& records) {
   entries_.clear();
-  entries_.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    PairFingerprint key;
-    key.lo = reader.U64();
-    key.hi = reader.U64();
-    MemoCheck check;
-    check.lo = reader.U64();
-    check.hi = reader.U64();
-    const uint8_t verdict = reader.U8();
-    GEQO_RETURN_NOT_OK(reader.status());
-    if (verdict > static_cast<uint8_t>(EquivalenceVerdict::kUnknown)) {
-      return Status::InvalidArgument(
-          "verifier memo: verdict byte out of range (corrupt snapshot)");
-    }
-    if (key.lo == key.hi && check.lo > check.hi) {
-      return Status::InvalidArgument(
-          "verifier memo: check pair not normalized on a key tie (corrupt "
-          "snapshot)");
-    }
-    entries_.emplace(
-        key, Entry{check, static_cast<EquivalenceVerdict>(verdict)});
+  entries_.reserve(records.size());
+  for (const MemoRecord& record : records) {
+    entries_.emplace(record.key, Entry{record.check, record.verdict});
   }
-  return Status::OK();
+}
+
+bool DecodeVerifierMemo(io::ByteReader* reader, std::vector<MemoRecord>* out,
+                        io::DecodeErrors* errors) {
+  // Per entry: key (lo, hi), check (lo, hi), verdict byte.
+  constexpr size_t kEntrySize = 4 * sizeof(uint64_t) + 1;
+  const size_t memo_offset = reader->offset();
+  const uint64_t count = reader->U64();
+  if (!reader->Fits(count, kEntrySize)) {
+    return io::Reject(errors, "catalog.truncated", memo_offset,
+                      "verifier memo is cut off");
+  }
+  out->clear();
+  out->reserve(count);
+  for (uint64_t i = 0; i < count; ++i) {
+    const size_t entry_offset = reader->offset();
+    MemoRecord record;
+    record.key.lo = reader->U64();
+    record.key.hi = reader->U64();
+    record.check.lo = reader->U64();
+    record.check.hi = reader->U64();
+    const uint8_t verdict = reader->U8();
+    if (record.key.lo > record.key.hi) {
+      return io::Reject(errors, "catalog.memo-key", entry_offset,
+                        "memo entry " + std::to_string(i) +
+                            " is not a normalized pair fingerprint (lo > hi)");
+    }
+    if (!out->empty() && !(out->back().key < record.key)) {
+      return io::Reject(errors, "catalog.memo-order", entry_offset,
+                        "memo entries are not strictly sorted at entry " +
+                            std::to_string(i));
+    }
+    if (record.key.lo == record.key.hi && record.check.lo > record.check.hi) {
+      return io::Reject(errors, "catalog.memo-check", entry_offset,
+                        "memo entry " + std::to_string(i) +
+                            " violates the check-pair normalization on a key "
+                            "tie (check_lo > check_hi while lo == hi)");
+    }
+    if (verdict > static_cast<uint8_t>(EquivalenceVerdict::kUnknown)) {
+      return io::Reject(errors, "catalog.memo-verdict", entry_offset,
+                        "memo entry " + std::to_string(i) +
+                            " has verdict byte " + std::to_string(verdict) +
+                            " outside the tri-state range");
+    }
+    record.verdict = static_cast<EquivalenceVerdict>(verdict);
+    out->push_back(record);
+  }
+  return true;
 }
 
 }  // namespace geqo::serve

@@ -2,6 +2,7 @@
 
 #include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "common/binary_io.h"
 #include "common/hash.h"
@@ -65,6 +66,22 @@ inline CheckedPair MakeCheckedPair(uint64_t hash_a, uint64_t check_a,
   return out;
 }
 
+/// \brief One decoded memo entry.
+struct MemoRecord {
+  PairFingerprint key;
+  MemoCheck check;
+  EquivalenceVerdict verdict = EquivalenceVerdict::kUnknown;
+};
+
+/// \brief Decodes the memo section of a GEQOCATG segment at \p reader's
+/// position — the one decoder of the section, shared by the catalog loader
+/// and geqo_lint. Entries must be strictly sorted normalized keys (as
+/// VerifierMemo::Serialize writes them), each with a check pair normalized
+/// on a key tie and a verdict byte in the tri-state range. Refusals carry
+/// catalog.* codes; returns false when the walk had to stop.
+bool DecodeVerifierMemo(io::ByteReader* reader, std::vector<MemoRecord>* out,
+                        io::DecodeErrors* errors);
+
 /// \brief A persistent fingerprint → verdict cache with collision detection.
 class VerifierMemo {
  public:
@@ -106,9 +123,8 @@ class VerifierMemo {
   /// bytes.
   void Serialize(io::BinaryWriter& writer) const;
 
-  /// Restores from Serialize's output; rejects out-of-range verdict bytes
-  /// and check pairs that violate the key-tie normalization invariant.
-  Status Deserialize(io::BinaryReader& reader);
+  /// Replaces the contents with decoded \p records.
+  void Restore(const std::vector<MemoRecord>& records);
 
  private:
   struct Entry {

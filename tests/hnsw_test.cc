@@ -163,7 +163,7 @@ TEST(HnswTest, SerializeRoundTripPreservesSearches) {
 
   std::stringstream buffer;
   ASSERT_TRUE(index.Serialize(buffer).ok());
-  auto loaded = HnswIndex::Deserialize(buffer);
+  auto loaded = HnswIndex::Deserialize(buffer.str());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ASSERT_EQ((*loaded)->size(), index.size());
   EXPECT_EQ((*loaded)->dim(), index.dim());
@@ -202,7 +202,7 @@ TEST(HnswTest, AddsAfterLoadMatchUninterruptedIndex) {
 
   std::stringstream buffer;
   ASSERT_TRUE(first_half.Serialize(buffer).ok());
-  auto resumed = HnswIndex::Deserialize(buffer);
+  auto resumed = HnswIndex::Deserialize(buffer.str());
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   for (size_t i = points.size() / 2; i < points.size(); ++i) {
     (*resumed)->Add(points[i]);
@@ -219,7 +219,7 @@ TEST(HnswTest, SerializedEmptyIndexRoundTrips) {
   HnswIndex index(3);
   std::stringstream buffer;
   ASSERT_TRUE(index.Serialize(buffer).ok());
-  auto loaded = HnswIndex::Deserialize(buffer);
+  auto loaded = HnswIndex::Deserialize(buffer.str());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ((*loaded)->size(), 0u);
   const float query[3] = {0, 0, 0};
@@ -293,7 +293,7 @@ TEST(HnswTest, QuantizedSnapshotRoundTripsAndIgnoresEnvironment) {
   ASSERT_TRUE(index.Serialize(buffer).ok());
   // The snapshot stores the resolved quant mode: loading must reproduce the
   // quantized index even though the process-wide switch is off here.
-  auto loaded = HnswIndex::Deserialize(buffer);
+  auto loaded = HnswIndex::Deserialize(buffer.str());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_TRUE((*loaded)->quantized());
   EXPECT_TRUE((*loaded)->calibrated());
@@ -349,7 +349,7 @@ TEST(HnswTest, CorruptedCalibrationIsRejectedAtLoad) {
               sizeof(float));
 
   std::stringstream corrupted(bytes);
-  const auto loaded = HnswIndex::Deserialize(corrupted);
+  const auto loaded = HnswIndex::Deserialize(corrupted.str());
   ASSERT_FALSE(loaded.ok());
   EXPECT_NE(loaded.status().ToString().find("SQ8 range"), std::string::npos)
       << loaded.status().ToString();
@@ -358,7 +358,7 @@ TEST(HnswTest, CorruptedCalibrationIsRejectedAtLoad) {
   std::string bad_magic = buffer.str();
   bad_magic[10 * sizeof(uint64_t)] ^= 0x5a;
   std::stringstream bad_magic_stream(bad_magic);
-  const auto bad = HnswIndex::Deserialize(bad_magic_stream);
+  const auto bad = HnswIndex::Deserialize(bad_magic_stream.str());
   ASSERT_FALSE(bad.ok());
   EXPECT_NE(bad.status().ToString().find("SQ8"), std::string::npos)
       << bad.status().ToString();
@@ -367,7 +367,7 @@ TEST(HnswTest, CorruptedCalibrationIsRejectedAtLoad) {
 TEST(HnswTest, DeserializeRejectsGarbageAndTruncation) {
   // Not an index blob at all.
   std::stringstream garbage("this is not an hnsw index");
-  EXPECT_FALSE(HnswIndex::Deserialize(garbage).ok());
+  EXPECT_FALSE(HnswIndex::Deserialize(garbage.str()).ok());
 
   // A valid blob cut short must fail loudly, not fabricate nodes.
   Rng rng(29);
@@ -379,7 +379,7 @@ TEST(HnswTest, DeserializeRejectsGarbageAndTruncation) {
   for (const double fraction : {0.25, 0.5, 0.9}) {
     std::stringstream truncated(
         bytes.substr(0, static_cast<size_t>(bytes.size() * fraction)));
-    EXPECT_FALSE(HnswIndex::Deserialize(truncated).ok())
+    EXPECT_FALSE(HnswIndex::Deserialize(truncated.str()).ok())
         << "fraction " << fraction;
   }
 }

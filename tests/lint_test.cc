@@ -28,11 +28,12 @@
 #include "workload/generator.h"
 #include "workload/schemas.h"
 
-// Corruption tests for the artifact linter and the v2 snapshot loaders:
-// every seeded corruption (byte truncation, bit flips, hand-crafted section
-// violations) must be flagged by geqo_lint's walker with a named diagnostic
-// AND rejected by the corresponding Load path — while pristine artifacts
-// produce zero findings.
+// Corruption tests for the artifact linter and the snapshot loaders, which
+// share one decoder per format: every seeded corruption (byte truncation,
+// bit flips, hand-crafted section violations, fixed-value field sweeps)
+// must be flagged by geqo_lint with a named diagnostic AND rejected by the
+// corresponding Load path — while pristine artifacts produce zero findings
+// and load.
 
 namespace geqo::analysis {
 namespace {
@@ -75,6 +76,43 @@ class ScopedTempDir {
  private:
   std::string path_;
 };
+
+/// The fixed values every field sweep writes into each word it visits.
+constexpr uint64_t kSweepValues[] = {0, 1, uint64_t{1} << 31,
+                                     uint64_t{1} << 62, ~uint64_t{0}};
+
+/// Wraps GEQOCATG \p segment as the only shard of a GEQOSHRD container
+/// holding \p count entries and no pending tail.
+std::string OneShardContainer(const std::string& segment, uint64_t count) {
+  std::ostringstream payload;
+  io::BinaryWriter writer(payload, "one-shard container");
+  writer.U64(io::kShardedCatalogMagic);
+  writer.U64(io::kShardedCatalogVersion);
+  writer.U64(1);
+  writer.U64(count);
+  for (uint64_t i = 0; i < count; ++i) writer.U64(0);
+  writer.U64(segment.size());
+  writer.Bytes(segment.data(), segment.size());
+  writer.U64(0);
+  writer.U64(io::kShardedCatalogEndMagic);
+  GEQO_CHECK_OK(writer.status());
+  std::ostringstream file;
+  GEQO_CHECK_OK(io::WriteChecksummed(file, payload.str(), "container"));
+  return file.str();
+}
+
+/// The GEQOCATG segment of a one-shard GEQOSHRD export.
+std::string OnlySegmentOf(const std::string& sharded) {
+  io::ByteReader reader(sharded);
+  reader.U64();  // magic
+  reader.U64();  // version
+  GEQO_CHECK(reader.U64() == 1) << "expected a one-shard export";
+  const uint64_t count = reader.U64();
+  for (uint64_t i = 0; i < count; ++i) reader.U64();  // routing
+  const std::string segment(reader.Bytes(reader.U64()));
+  GEQO_CHECK(reader.ok());
+  return segment;
+}
 
 // Shared fixture: one small system + serving catalog saved once, reused by
 // every corruption test in the suite.
@@ -174,46 +212,6 @@ class ArtifactLintTest : public ::testing::Test {
   // words, then per shard a length-prefixed GEQOCATG segment, the pending
   // tail, and the end magic, under the checksum footer.
 
-  /// The GEQOCATG segment of a one-shard GEQOSHRD export.
-  static std::string OnlySegmentOf(const std::string& sharded) {
-    std::istringstream file(sharded);
-    const Result<std::string> payload_bytes =
-        io::ReadChecksummed(file, "one-shard export");
-    GEQO_CHECK_OK(payload_bytes.status());
-    std::istringstream payload(*payload_bytes);
-    io::BinaryReader reader(payload, "one-shard export");
-    reader.U64();  // magic
-    reader.U64();  // version
-    GEQO_CHECK(reader.U64() == 1) << "expected a one-shard export";
-    const uint64_t count = reader.U64();
-    for (uint64_t i = 0; i < count; ++i) reader.U64();  // routing
-    std::string segment(reader.U64(), '\0');
-    reader.Bytes(segment.data(), segment.size());
-    GEQO_CHECK_OK(reader.status());
-    return segment;
-  }
-
-  /// Wraps \p segment as the only shard of a GEQOSHRD container holding
-  /// \p count entries and no pending tail.
-  static std::string OneShardContainer(const std::string& segment,
-                                       uint64_t count) {
-    std::ostringstream payload;
-    io::BinaryWriter writer(payload, "one-shard container");
-    writer.U64(io::kShardedCatalogMagic);
-    writer.U64(io::kShardedCatalogVersion);
-    writer.U64(1);
-    writer.U64(count);
-    for (uint64_t i = 0; i < count; ++i) writer.U64(0);
-    writer.U64(segment.size());
-    writer.Bytes(segment.data(), segment.size());
-    writer.U64(0);
-    writer.U64(io::kShardedCatalogEndMagic);
-    GEQO_CHECK_OK(writer.status());
-    std::ostringstream file;
-    GEQO_CHECK_OK(io::WriteChecksummed(file, payload.str(), "container"));
-    return file.str();
-  }
-
   static Status LoadSharded(const std::string& bytes) {
     std::istringstream stream(bytes);
     serve::ShardedCatalogOptions options;
@@ -223,7 +221,7 @@ class ArtifactLintTest : public ::testing::Test {
   }
 
   /// Rewrites 8 bytes of the checksummed payload at \p offset and refreshes
-  /// the footer, so the structural walker (not the checksum) must object.
+  /// the footer, so the structural decoder (not the checksum) must object.
   static std::string MutatePayloadU64(const std::string& bytes, size_t offset,
                                       uint64_t value) {
     std::string payload = bytes.substr(0, bytes.size() - sizeof(uint64_t));
@@ -231,6 +229,80 @@ class ArtifactLintTest : public ::testing::Test {
     std::ostringstream out;
     GEQO_CHECK_OK(io::WriteChecksummed(out, payload, "mutated artifact"));
     return out.str();
+  }
+
+  /// Where each shard segment of a GEQOSHRD container sits: the offset of
+  /// its checksummed bytes and their size (segment footer included).
+  struct SegmentSpan {
+    size_t begin = 0;
+    size_t size = 0;
+  };
+
+  static std::vector<SegmentSpan> SegmentSpans(const std::string& sharded) {
+    io::ByteReader reader(sharded);
+    reader.U64();  // magic
+    reader.U64();  // version
+    const uint64_t num_shards = reader.U64();
+    const uint64_t count = reader.U64();
+    for (uint64_t i = 0; i < count; ++i) reader.U64();  // routing
+    std::vector<SegmentSpan> spans;
+    for (uint64_t sid = 0; sid < num_shards; ++sid) {
+      const uint64_t size = reader.U64();
+      spans.push_back({reader.offset(), size});
+      reader.Bytes(size);
+    }
+    GEQO_CHECK(reader.ok());
+    return spans;
+  }
+
+  /// Recomputes the footer of every segment in \p spans and of the
+  /// container, so a mutated field must be caught by a structural decoder,
+  /// not by a checksum.
+  static std::string RefreshFooters(std::string bytes,
+                                    const std::vector<SegmentSpan>& spans) {
+    const auto refresh = [&bytes](size_t begin, size_t size) {
+      const size_t payload = size - sizeof(uint64_t);
+      const uint64_t checksum =
+          io::PayloadChecksum(std::string_view(bytes).substr(begin, payload));
+      std::memcpy(bytes.data() + begin + payload, &checksum, sizeof(checksum));
+    };
+    for (const SegmentSpan& span : spans) refresh(span.begin, span.size);
+    refresh(0, bytes.size());
+    return bytes;
+  }
+
+  /// Overwrites the u64 at \p offset of the container and refreshes every
+  /// footer.
+  static std::string MutateShardedU64(const std::string& bytes, size_t offset,
+                                      uint64_t value) {
+    std::string out = bytes;
+    std::memcpy(out.data() + offset, &value, sizeof(value));
+    return RefreshFooters(std::move(out), SegmentSpans(bytes));
+  }
+
+  /// Inserts \p insert at \p at inside shard \p sid's segment, growing its
+  /// length prefix, and refreshes every footer.
+  static std::string InsertIntoSegment(const std::string& bytes, size_t sid,
+                                       size_t at, const std::string& insert) {
+    std::vector<SegmentSpan> spans = SegmentSpans(bytes);
+    std::string out = bytes;
+    out.insert(spans[sid].begin + at, insert);
+    spans[sid].size += insert.size();
+    std::memcpy(out.data() + spans[sid].begin - sizeof(uint64_t),
+                &spans[sid].size, sizeof(uint64_t));
+    for (size_t later = sid + 1; later < spans.size(); ++later) {
+      spans[later].begin += insert.size();
+    }
+    return RefreshFooters(std::move(out), spans);
+  }
+
+  /// The decoded sharded fixture, for locating fields by structure.
+  static serve::ShardedSnapshotImage DecodedSharded(const std::string& bytes) {
+    serve::ShardedSnapshotImage image;
+    io::DecodeErrors errors;
+    GEQO_CHECK(serve::DecodeShardedSnapshot(bytes, &image, &errors) &&
+               errors.empty());
+    return image;
   }
 
   static ScopedTempDir* dir_;
@@ -345,7 +417,7 @@ TEST_F(ArtifactLintTest, SystemSnapshotSingleByteFlipSweep) {
 TEST_F(ArtifactLintTest, OversizedAgnosticLayoutIsAFindingAndAStatus) {
   // Offset 24 is the layout's table count (6). 134 passes the old loose
   // bound but not EncodingLayout::Agnostic's; with the footer refreshed,
-  // the walker and the loader each reach their layout check.
+  // the linter and the loader each reach the decoder's layout check.
   const std::string bytes = MutatePayloadU64(ReadFile(system_path_), 24, 134);
   const Diagnostics findings = Lint(bytes);
   EXPECT_TRUE(HasCode(findings, "snapshot.layout")) << CodesOf(findings);
@@ -360,7 +432,7 @@ TEST_F(ArtifactLintTest, OversizedAgnosticLayoutIsAFindingAndAStatus) {
 TEST_F(ArtifactLintTest, VersionFieldFlipNamesTheVersion) {
   // Byte 8 is the low byte of the version field: rewrite it to a valid
   // little-endian "version 9" and fix up the checksum so the structural
-  // walker (not the footer) must catch it.
+  // decoder (not the footer) must catch it.
   std::string bytes = ReadFile(system_path_);
   bytes[8] = 9;
   std::string payload = bytes.substr(0, bytes.size() - sizeof(uint64_t));
@@ -384,7 +456,7 @@ TEST_F(ArtifactLintTest, PristineShardedCatalogHasZeroFindings) {
   EXPECT_TRUE(findings->empty()) << CodesOf(*findings);
   EXPECT_TRUE(LoadSharded(bytes).ok());
   // The fixture was built to carry a pending-verification tail, so these
-  // tests exercise the tail walker, not an empty section.
+  // tests exercise the tail decoder, not an empty section.
   EXPECT_GT(sharded_pending_, 0u);
 }
 
@@ -460,6 +532,151 @@ TEST_F(ArtifactLintTest, ShardedEndMarkerMissing) {
   EXPECT_FALSE(LoadSharded(mutated).ok());
 }
 
+TEST_F(ArtifactLintTest, ShardedPendingPairsOutOfOrder) {
+  // The writer sorts and deduplicates the pending tail; a repeated pair
+  // (count bumped, footer refreshed) is corruption to the linter and the
+  // loader alike.
+  const std::string bytes = ReadFile(sharded_path_);
+  const serve::ShardedSnapshotImage image = DecodedSharded(bytes);
+  ASSERT_FALSE(image.pending.empty());
+  const size_t payload_size = bytes.size() - sizeof(uint64_t);
+  const size_t pairs_end = payload_size - sizeof(uint64_t);
+  const size_t count_offset =
+      pairs_end - image.pending.size() * 2 * sizeof(uint64_t) -
+      sizeof(uint64_t);
+  std::string mutated = bytes;
+  mutated.insert(pairs_end,
+                 bytes.substr(pairs_end - 2 * sizeof(uint64_t),
+                              2 * sizeof(uint64_t)));
+  const uint64_t count = image.pending.size() + 1;
+  std::memcpy(mutated.data() + count_offset, &count, sizeof(count));
+  mutated = RefreshFooters(std::move(mutated), SegmentSpans(bytes));
+  const Diagnostics findings = Lint(mutated);
+  EXPECT_TRUE(HasCode(findings, "sharded.pending-order")) << CodesOf(findings);
+  EXPECT_FALSE(LoadSharded(mutated).ok());
+}
+
+TEST_F(ArtifactLintTest, ShardedImportRefusesHugeCountsWithoutThrowing) {
+  // Footer-refreshed counts that once reached an allocation before any
+  // bound: an HNSW vector count of 2^40 and an SQ8-calibrated dim of 2^40
+  // (std::bad_alloc), a memo count of 2^62 (std::bad_array_new_length),
+  // and a pending count near the payload size (a VerifyTask reserve sized
+  // by the file). Each must be a Status from the loader and a named
+  // finding from the linter.
+  const std::string bytes = ReadFile(sharded_path_);
+  const serve::ShardedSnapshotImage image = DecodedSharded(bytes);
+  const std::vector<SegmentSpan> spans = SegmentSpans(bytes);
+  size_t sid = 0;
+  while (image.segments[sid].canonical_hashes.empty()) ++sid;
+  const serve::CatalogSegmentImage& segment = image.segments[sid];
+  const size_t base = spans[sid].begin;
+  // GEQOHNSW: 7 parameter words, 3 quantization words, the SQ8 block when
+  // calibrated, 4 rng words, max level, entry point, then the count.
+  const size_t hnsw = 5 * sizeof(uint64_t) +
+                      segment.canonical_hashes.size() * sizeof(uint64_t);
+  const bool sq8 = segment.index.options.quant == ann::QuantOverride::kOn &&
+                   segment.index.calibrated;
+  const size_t sq8_size =
+      sq8 ? sizeof(uint64_t) + segment.index.dim * 2 * sizeof(float) : 0;
+  const size_t hnsw_count = hnsw + 16 * sizeof(uint64_t) + sq8_size;
+  // The memo is the last section before the end magic and the footer.
+  const size_t memo_count = spans[sid].size - 3 * sizeof(uint64_t) -
+                            segment.memo.size() * (4 * sizeof(uint64_t) + 1);
+  const size_t payload_size = bytes.size() - sizeof(uint64_t);
+  const size_t pending_count = payload_size - sizeof(uint64_t) -
+                               image.pending.size() * 2 * sizeof(uint64_t) -
+                               sizeof(uint64_t);
+
+  const auto word = [&bytes](size_t offset) {
+    uint64_t value = 0;
+    std::memcpy(&value, bytes.data() + offset, sizeof(value));
+    return value;
+  };
+  ASSERT_EQ(word(base + hnsw), io::kHnswMagic);
+  ASSERT_EQ(word(base + hnsw_count), segment.canonical_hashes.size());
+  ASSERT_EQ(word(base + memo_count), segment.memo.size());
+  ASSERT_EQ(word(pending_count), image.pending.size());
+
+  // A calibrated SQ8 index with a 2^40-dimension range table: flags set and
+  // the HNSWSQ8! sub-magic spliced in (when absent) right after them.
+  std::string calibrated = MutateShardedU64(bytes, base + hnsw + 16, 1ull << 40);
+  calibrated = MutateShardedU64(calibrated, base + hnsw + 56, 1);
+  calibrated = MutateShardedU64(calibrated, base + hnsw + 72, 1);
+  if (!sq8) {
+    std::string magic(sizeof(uint64_t), '\0');
+    std::memcpy(magic.data(), &io::kHnswSq8Magic, sizeof(uint64_t));
+    calibrated = InsertIntoSegment(calibrated, sid, hnsw + 80, magic);
+  }
+
+  const struct {
+    const char* name;
+    std::string bytes;
+    const char* code;
+  } cases[] = {
+      {"hnsw count 2^40",
+       MutateShardedU64(bytes, base + hnsw_count, 1ull << 40),
+       "hnsw.truncated"},
+      {"sq8 dim 2^40", calibrated, "hnsw.quant-range"},
+      {"memo count 2^62",
+       MutateShardedU64(bytes, base + memo_count, 1ull << 62),
+       "catalog.truncated"},
+      {"pending count near the payload size",
+       MutateShardedU64(bytes, pending_count, payload_size - 1),
+       "sharded.truncated"},
+  };
+  for (const auto& test_case : cases) {
+    Status load;
+    EXPECT_NO_THROW(load = LoadSharded(test_case.bytes)) << test_case.name;
+    EXPECT_FALSE(load.ok()) << test_case.name;
+    Diagnostics findings;
+    EXPECT_NO_THROW(findings = Lint(test_case.bytes)) << test_case.name;
+    EXPECT_TRUE(HasCode(findings, test_case.code))
+        << test_case.name << ": " << CodesOf(findings);
+  }
+}
+
+TEST_F(ArtifactLintTest, ShardedFieldSweepLintMatchesLoader) {
+  // Every 8-byte-aligned word of the container overwritten with a fixed set
+  // of values, every footer refreshed: no throw, and the linter finds
+  // nothing exactly when the loader succeeds. Two kinds of word are bound,
+  // not decoded — each segment's schema fingerprint and its canonical
+  // hashes are compared with the live catalog and plans — so they are left
+  // out; the segment footers are recomputed anyway.
+  const std::string bytes = ReadFile(sharded_path_);
+  const serve::ShardedSnapshotImage image = DecodedSharded(bytes);
+  const std::vector<SegmentSpan> spans = SegmentSpans(bytes);
+  std::vector<bool> skip(bytes.size(), false);
+  for (size_t sid = 0; sid < spans.size(); ++sid) {
+    const size_t begin = spans[sid].begin;
+    skip[begin + 2 * sizeof(uint64_t)] = true;  // schema fingerprint
+    for (size_t i = 0; i < image.segments[sid].canonical_hashes.size(); ++i) {
+      skip[begin + (5 + i) * sizeof(uint64_t)] = true;
+    }
+    skip[begin + spans[sid].size - sizeof(uint64_t)] = true;  // footer
+  }
+  const size_t payload_size = bytes.size() - sizeof(uint64_t);
+  size_t accepted = 0;
+  size_t refused = 0;
+  for (size_t offset = 0; offset + sizeof(uint64_t) <= payload_size;
+       offset += sizeof(uint64_t)) {
+    if (skip[offset]) continue;
+    for (const uint64_t value : kSweepValues) {
+      const std::string mutated = MutateShardedU64(bytes, offset, value);
+      Diagnostics findings;
+      Status load;
+      EXPECT_NO_THROW(findings = Lint(mutated)) << "offset " << offset;
+      EXPECT_NO_THROW(load = LoadSharded(mutated)) << "offset " << offset;
+      EXPECT_EQ(findings.empty(), load.ok())
+          << "offset " << offset << " value " << value << ": "
+          << CodesOf(findings) << " / " << load.ToString();
+      ++(load.ok() ? accepted : refused);
+    }
+  }
+  // Both verdicts occur, so the sweep proves agreement, not a tautology.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(refused, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Hand-crafted catalog payloads: section-level invariant violations that a
 // checksum cannot catch (the writer computes a valid footer over bad bytes).
@@ -472,115 +689,206 @@ struct MemoEntry {
   uint8_t verdict;
 };
 
-std::string CraftCatalog(uint64_t dim, const std::vector<uint64_t>& parents,
-                         const std::vector<MemoEntry>& memo,
-                         uint64_t version = io::kCatalogVersion,
-                         uint64_t end_magic = io::kCatalogEndMagic,
-                         const std::string& trailing = {}) {
-  std::ostringstream payload;
-  io::BinaryWriter writer(payload, "crafted catalog");
-  writer.U64(io::kCatalogMagic);
-  writer.U64(version);
-  writer.U64(0);  // schema fingerprint (opaque to the linter)
-  writer.U64(dim);
-  writer.U64(parents.size());
-  for (size_t i = 0; i < parents.size(); ++i) writer.U64(i);  // hashes
-  ann::HnswIndex index(dim);
-  std::vector<float> vector(dim, 0.0f);
-  for (size_t i = 0; i < parents.size(); ++i) {
-    vector[0] = static_cast<float>(i);
-    index.Add(vector);
-  }
-  GEQO_CHECK_OK(index.Serialize(payload));
-  for (const uint64_t parent : parents) writer.U64(parent);
-  writer.U64(memo.size());
-  for (const MemoEntry& entry : memo) {
-    writer.U64(entry.lo);
-    writer.U64(entry.hi);
-    writer.U64(entry.check_lo);
-    writer.U64(entry.check_hi);
-    writer.U8(entry.verdict);
-  }
-  writer.U64(end_magic);
-  payload << trailing;
-  std::ostringstream file;
-  GEQO_CHECK_OK(io::WriteChecksummed(file, payload.str(), "crafted catalog"));
-  return file.str();
-}
+// Crafted segments are bound to a small live system — its schema
+// fingerprint, the canonical hashes of its first plans, and its embedding
+// dim — so the loader reaches the same bytes the linter walks: a clean
+// craft loads, and each violation is refused by both.
+class CraftedCatalogTest : public ::testing::Test {
+ protected:
+  /// The crafted embedding dim: the fixture model's conv2 width.
+  static constexpr uint64_t kDim = 4;
 
-TEST(CraftedCatalogTest, WellFormedCraftIsClean) {
-  const Diagnostics findings = LintArtifactBytes(CraftCatalog(
-      4, {0, 1, 0},
-      {{3, 5, 9, 2, 0}, {3, 7, 1, 1, 1}, {4, 4, 2, 6, 2}}));
+  static void SetUpTestSuite() {
+    catalog_ = new Catalog(MakeTpchCatalog());
+    GeqoSystemOptions options;
+    options.model.conv1_size = 8;
+    options.model.conv2_size = kDim;
+    options.model.fc1_size = 8;
+    options.model.fc2_size = 4;
+    system_ = new GeqoSystem(catalog_, options);
+    const QueryGenerator generator(catalog_, GeneratorOptions());
+    Rng rng(7);
+    plans_ = new std::vector<PlanPtr>(generator.GenerateMany(3, &rng));
+    // The binding comes from a real export of those plans.
+    auto serving = system_->OpenShardedCatalog(
+        serve::ShardedCatalogOptions::Synchronous(
+            system_->options().pipeline));
+    for (const PlanPtr& plan : *plans_) {
+      GEQO_CHECK_OK(serve::ProbeAddAndDrain(*serving, plan).status());
+    }
+    std::ostringstream exported;
+    GEQO_CHECK_OK(serving->ExportSnapshot(exported));
+    serve::CatalogSegmentImage image;
+    io::DecodeErrors errors;
+    GEQO_CHECK(serve::DecodeCatalogSegment(OnlySegmentOf(exported.str()),
+                                           &image, &errors) &&
+               errors.empty());
+    fingerprint_ = image.schema_fingerprint;
+    hashes_ = new std::vector<uint64_t>(image.canonical_hashes);
+  }
+
+  static void TearDownTestSuite() {
+    delete hashes_;
+    delete plans_;
+    delete system_;
+    delete catalog_;
+    hashes_ = nullptr;
+    plans_ = nullptr;
+    system_ = nullptr;
+    catalog_ = nullptr;
+  }
+
+  /// GEQOCATG bytes with \p parents.size() entries (the fixture's first
+  /// plans), the given class forest and memo, and optional header/trailer
+  /// damage.
+  static std::string Craft(const std::vector<uint64_t>& parents,
+                           const std::vector<MemoEntry>& memo,
+                           uint64_t version = io::kCatalogVersion,
+                           uint64_t end_magic = io::kCatalogEndMagic,
+                           const std::string& trailing = {}) {
+    GEQO_CHECK(parents.size() <= hashes_->size());
+    std::ostringstream payload;
+    io::BinaryWriter writer(payload, "crafted catalog");
+    writer.U64(io::kCatalogMagic);
+    writer.U64(version);
+    writer.U64(fingerprint_);
+    writer.U64(kDim);
+    writer.U64(parents.size());
+    for (size_t i = 0; i < parents.size(); ++i) writer.U64((*hashes_)[i]);
+    ann::HnswIndex index(kDim);
+    std::vector<float> vector(kDim, 0.0f);
+    for (size_t i = 0; i < parents.size(); ++i) {
+      vector[0] = static_cast<float>(i);
+      index.Add(vector);
+    }
+    GEQO_CHECK_OK(index.Serialize(payload));
+    for (const uint64_t parent : parents) writer.U64(parent);
+    writer.U64(memo.size());
+    for (const MemoEntry& entry : memo) {
+      writer.U64(entry.lo);
+      writer.U64(entry.hi);
+      writer.U64(entry.check_lo);
+      writer.U64(entry.check_hi);
+      writer.U8(entry.verdict);
+    }
+    writer.U64(end_magic);
+    payload << trailing;
+    std::ostringstream file;
+    GEQO_CHECK_OK(
+        io::WriteChecksummed(file, payload.str(), "crafted catalog"));
+    return file.str();
+  }
+
+  /// Loads crafted \p bytes holding \p entries entries the way a restart
+  /// does: as the one segment of a one-shard GEQOSHRD container.
+  static Status Load(const std::string& bytes, size_t entries) {
+    std::istringstream stream(OneShardContainer(bytes, entries));
+    const std::vector<PlanPtr> plans(plans_->begin(),
+                                     plans_->begin() + entries);
+    serve::ShardedCatalogOptions options;
+    options.verifier_threads = 0;
+    return system_->ImportShardedSnapshot(stream, plans, options).status();
+  }
+
+  static Catalog* catalog_;
+  static GeqoSystem* system_;
+  static std::vector<PlanPtr>* plans_;
+  static std::vector<uint64_t>* hashes_;
+  static uint64_t fingerprint_;
+};
+
+Catalog* CraftedCatalogTest::catalog_ = nullptr;
+GeqoSystem* CraftedCatalogTest::system_ = nullptr;
+std::vector<PlanPtr>* CraftedCatalogTest::plans_ = nullptr;
+std::vector<uint64_t>* CraftedCatalogTest::hashes_ = nullptr;
+uint64_t CraftedCatalogTest::fingerprint_ = 0;
+
+TEST_F(CraftedCatalogTest, WellFormedCraftIsClean) {
+  const std::string bytes =
+      Craft({0, 1, 0}, {{3, 5, 9, 2, 0}, {3, 7, 1, 1, 1}, {4, 4, 2, 6, 2}});
+  const Diagnostics findings = LintArtifactBytes(bytes);
   EXPECT_TRUE(findings.empty()) << CodesOf(findings);
+  const Status load = Load(bytes, 3);
+  EXPECT_TRUE(load.ok()) << load.ToString();
 }
 
-TEST(CraftedCatalogTest, UnsupportedVersion) {
-  const Diagnostics findings =
-      LintArtifactBytes(CraftCatalog(4, {}, {}, /*version=*/1));
+TEST_F(CraftedCatalogTest, UnsupportedVersion) {
+  const std::string bytes = Craft({}, {}, /*version=*/1);
+  const Diagnostics findings = LintArtifactBytes(bytes);
   ASSERT_TRUE(HasFindings(findings));
   EXPECT_EQ(findings[0].code, "catalog.version");
+  EXPECT_FALSE(Load(bytes, 0).ok());
 }
 
-TEST(CraftedCatalogTest, ParentAboveChild) {
-  const Diagnostics findings = LintArtifactBytes(CraftCatalog(4, {1, 0}, {}));
+TEST_F(CraftedCatalogTest, ParentAboveChild) {
+  const std::string bytes = Craft({1, 0}, {});
+  const Diagnostics findings = LintArtifactBytes(bytes);
   EXPECT_TRUE(HasCode(findings, "catalog.parent-range")) << CodesOf(findings);
+  EXPECT_FALSE(Load(bytes, 2).ok());
 }
 
-TEST(CraftedCatalogTest, ParentNotPathCompressed) {
-  const Diagnostics findings =
-      LintArtifactBytes(CraftCatalog(4, {0, 0, 1}, {}));
+TEST_F(CraftedCatalogTest, ParentNotPathCompressed) {
+  const std::string bytes = Craft({0, 0, 1}, {});
+  const Diagnostics findings = LintArtifactBytes(bytes);
   EXPECT_TRUE(HasCode(findings, "catalog.parent-compressed"))
       << CodesOf(findings);
+  EXPECT_FALSE(Load(bytes, 3).ok());
 }
 
-TEST(CraftedCatalogTest, MemoKeyNotNormalized) {
-  const Diagnostics findings =
-      LintArtifactBytes(CraftCatalog(4, {}, {{9, 3, 0, 0, 0}}));
+TEST_F(CraftedCatalogTest, MemoKeyNotNormalized) {
+  const std::string bytes = Craft({}, {{9, 3, 0, 0, 0}});
+  const Diagnostics findings = LintArtifactBytes(bytes);
   EXPECT_TRUE(HasCode(findings, "catalog.memo-key")) << CodesOf(findings);
+  EXPECT_FALSE(Load(bytes, 0).ok());
 }
 
-TEST(CraftedCatalogTest, MemoNotStrictlySorted) {
-  const Diagnostics findings = LintArtifactBytes(
-      CraftCatalog(4, {}, {{5, 6, 0, 0, 0}, {5, 6, 0, 0, 1}}));
+TEST_F(CraftedCatalogTest, MemoNotStrictlySorted) {
+  const std::string bytes = Craft({}, {{5, 6, 0, 0, 0}, {5, 6, 0, 0, 1}});
+  const Diagnostics findings = LintArtifactBytes(bytes);
   EXPECT_TRUE(HasCode(findings, "catalog.memo-order")) << CodesOf(findings);
+  EXPECT_FALSE(Load(bytes, 0).ok());
 }
 
-TEST(CraftedCatalogTest, MemoCheckPairNotNormalizedOnKeyTie) {
+TEST_F(CraftedCatalogTest, MemoCheckPairNotNormalizedOnKeyTie) {
   // A key tie (lo == hi) forces the check pair into (min, max) order; a
   // descending check pair there means the writer's collision guard is
   // corrupt and a memo hit could silently compare the wrong direction.
-  const Diagnostics findings =
-      LintArtifactBytes(CraftCatalog(4, {}, {{4, 4, 9, 3, 0}}));
+  const std::string bytes = Craft({}, {{4, 4, 9, 3, 0}});
+  const Diagnostics findings = LintArtifactBytes(bytes);
   EXPECT_TRUE(HasCode(findings, "catalog.memo-check")) << CodesOf(findings);
+  EXPECT_FALSE(Load(bytes, 0).ok());
 }
 
-TEST(CraftedCatalogTest, MemoVerdictOutOfRange) {
-  const Diagnostics findings =
-      LintArtifactBytes(CraftCatalog(4, {}, {{3, 5, 1, 2, 7}}));
+TEST_F(CraftedCatalogTest, MemoVerdictOutOfRange) {
+  const std::string bytes = Craft({}, {{3, 5, 1, 2, 7}});
+  const Diagnostics findings = LintArtifactBytes(bytes);
   EXPECT_TRUE(HasCode(findings, "catalog.memo-verdict")) << CodesOf(findings);
+  EXPECT_FALSE(Load(bytes, 0).ok());
 }
 
-TEST(CraftedCatalogTest, MissingEndMarker) {
-  const Diagnostics findings = LintArtifactBytes(
-      CraftCatalog(4, {}, {}, io::kCatalogVersion, /*end_magic=*/0));
+TEST_F(CraftedCatalogTest, MissingEndMarker) {
+  const std::string bytes =
+      Craft({}, {}, io::kCatalogVersion, /*end_magic=*/0);
+  const Diagnostics findings = LintArtifactBytes(bytes);
   EXPECT_TRUE(HasCode(findings, "catalog.end-magic")) << CodesOf(findings);
+  EXPECT_FALSE(Load(bytes, 0).ok());
 }
 
-TEST(CraftedCatalogTest, TrailingBytesInsideTheChecksummedPayload) {
-  const Diagnostics findings = LintArtifactBytes(
-      CraftCatalog(4, {}, {}, io::kCatalogVersion, io::kCatalogEndMagic,
-                   "stowaway"));
+TEST_F(CraftedCatalogTest, TrailingBytesInsideTheChecksummedPayload) {
+  const std::string bytes =
+      Craft({}, {}, io::kCatalogVersion, io::kCatalogEndMagic, "stowaway");
+  const Diagnostics findings = LintArtifactBytes(bytes);
   EXPECT_TRUE(HasCode(findings, "catalog.trailing")) << CodesOf(findings);
+  EXPECT_FALSE(Load(bytes, 0).ok());
 }
 
-TEST(CraftedCatalogTest, ImplausibleEmbeddingDim) {
+TEST_F(CraftedCatalogTest, ImplausibleEmbeddingDim) {
   // dim 0 is rejected before the HNSW section is even entered.
   std::ostringstream payload;
   io::BinaryWriter writer(payload, "crafted catalog");
   writer.U64(io::kCatalogMagic);
   writer.U64(io::kCatalogVersion);
-  writer.U64(0);
+  writer.U64(fingerprint_);
   writer.U64(0);  // embedding dim
   writer.U64(0);  // count
   std::ostringstream file;
@@ -588,6 +896,7 @@ TEST(CraftedCatalogTest, ImplausibleEmbeddingDim) {
   const Diagnostics findings = LintArtifactBytes(file.str());
   EXPECT_TRUE(HasCode(findings, "catalog.embedding-dim"))
       << CodesOf(findings);
+  EXPECT_FALSE(Load(file.str(), 0).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -693,8 +1002,8 @@ TEST(HnswLintTest, CorruptedCalibrationIsNamed) {
 // ---------------------------------------------------------------------------
 // GEQOMANI store manifests and GEQOWALG delta-log partitions: every
 // corruption the linter names must also be rejected by the persistence
-// layer's own reader, and vice versa — the walker mirrors the recovery
-// path's validation, from raw bytes.
+// layer's own reader, and vice versa — both run the recovery path's
+// decoder on the same raw bytes.
 
 std::string CraftManifest(uint64_t kind, uint64_t num_shards, uint64_t base_id,
                           uint64_t base_entries, uint64_t next_file_id,
@@ -805,6 +1114,37 @@ TEST(StoreManifestLintTest, RetiredSingleCatalogKindIsRejectedByBoth) {
   EXPECT_TRUE(ReadManifestBytes(sharded).ok());
 }
 
+TEST(StoreManifestLintTest, FieldSweepLintMatchesLoader) {
+  // Every word of a clean manifest's payload overwritten with each sweep
+  // value, footer refreshed: no throw, and the linter finds nothing exactly
+  // when ReadManifest succeeds.
+  const std::string bytes = CraftManifest(
+      /*kind=*/2, /*num_shards=*/4, /*base_id=*/3, /*base_entries=*/17,
+      /*next_file_id=*/9, /*log_ids=*/{5, 8});
+  const std::string payload = bytes.substr(0, bytes.size() - sizeof(uint64_t));
+  size_t accepted = 0;
+  size_t refused = 0;
+  for (size_t offset = 0; offset < payload.size();
+       offset += sizeof(uint64_t)) {
+    for (const uint64_t value : kSweepValues) {
+      std::string mutated = payload;
+      std::memcpy(mutated.data() + offset, &value, sizeof(value));
+      std::ostringstream file;
+      GEQO_CHECK_OK(io::WriteChecksummed(file, mutated, "swept manifest"));
+      Diagnostics findings;
+      Status load;
+      EXPECT_NO_THROW(findings = LintArtifactBytes(file.str()));
+      EXPECT_NO_THROW(load = ReadManifestBytes(file.str()));
+      EXPECT_EQ(findings.empty(), load.ok())
+          << "offset " << offset << " value " << value << ": "
+          << CodesOf(findings) << " / " << load.ToString();
+      ++(load.ok() ? accepted : refused);
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(refused, 0u);
+}
+
 std::string CraftWal(const std::vector<serve::persist::WalRecord>& records,
                      uint64_t file_id = 7, uint64_t shard = 0,
                      uint64_t magic = io::kWalMagic,
@@ -893,14 +1233,18 @@ TEST(WalLintTest, RecordGrammarViolationsAreNamed) {
   const std::string bad_key = CraftWal({WalRecord::Verdict(9, 3, 0, 0, 1)});
   EXPECT_TRUE(HasCode(LintArtifactBytes(bad_key), "wal.verdict-key"))
       << CodesOf(LintArtifactBytes(bad_key));
+  EXPECT_FALSE(ReadWalBytes(bad_key).ok());
 
-  // A self-union and a gid regression among adds.
-  EXPECT_TRUE(HasCode(LintArtifactBytes(CraftWal({WalRecord::Union(2, 2)})),
-                      "wal.union"));
-  EXPECT_TRUE(HasCode(
-      LintArtifactBytes(
-          CraftWal({WalRecord::Add(4, 0, 0), WalRecord::Add(4, 0, 0)})),
-      "wal.add-order"));
+  // A self-union and a gid regression among adds. The journal never writes
+  // either: OnUnion fires only when Union joined two distinct classes, and
+  // a shard's adds are journaled under its lock in gid order.
+  const std::string self_union = CraftWal({WalRecord::Union(2, 2)});
+  EXPECT_TRUE(HasCode(LintArtifactBytes(self_union), "wal.union"));
+  EXPECT_FALSE(ReadWalBytes(self_union).ok());
+  const std::string add_regression =
+      CraftWal({WalRecord::Add(4, 0, 0), WalRecord::Add(4, 0, 0)});
+  EXPECT_TRUE(HasCode(LintArtifactBytes(add_regression), "wal.add-order"));
+  EXPECT_FALSE(ReadWalBytes(add_regression).ok());
 
   // An unknown record type, correctly framed: the checksum holds but the
   // grammar doesn't.
@@ -920,6 +1264,65 @@ TEST(WalLintTest, RecordGrammarViolationsAreNamed) {
       << CodesOf(LintArtifactBytes(bad_version));
   EXPECT_FALSE(ReadWalBytes(bad_version).ok());
   EXPECT_FALSE(ReadWalBytes(CraftWal({}, /*file_id=*/8), 7, 0).ok());
+}
+
+TEST(WalLintTest, FieldSweepLintMatchesLoader) {
+  // Every header word and every u64 field of every record overwritten with
+  // each sweep value, the record's frame checksum recomputed: no throw, and
+  // the linter finds nothing exactly when ReadWalFile succeeds. The reader
+  // is told the manifest slot the (possibly mutated) header names, so the
+  // sweep compares decoding, not slot bookkeeping.
+  using serve::persist::WalRecord;
+  const std::vector<WalRecord> records = {
+      WalRecord::Add(0, 0xAAA, 0xBBB), WalRecord::Add(1, 0xCCC, 0xDDD),
+      WalRecord::Verdict(3, 5, 1, 2, 1), WalRecord::Union(0, 1),
+      WalRecord::Pending(1, 0)};
+  struct Field {
+    size_t record;  ///< records.size() = the header
+    size_t offset;  ///< within the header, or within the record payload
+  };
+  std::vector<Field> fields;
+  for (size_t word = 0; word < 4; ++word) {
+    fields.push_back({records.size(), word * sizeof(uint64_t)});
+  }
+  for (size_t i = 0; i < records.size(); ++i) {
+    const size_t payload = serve::persist::EncodeWalRecord(records[i]).size();
+    for (size_t offset = 1; offset + sizeof(uint64_t) <= payload;
+         offset += sizeof(uint64_t)) {
+      fields.push_back({i, offset});
+    }
+  }
+  size_t accepted = 0;
+  size_t refused = 0;
+  for (const Field& field : fields) {
+    for (const uint64_t value : kSweepValues) {
+      uint64_t header[4] = {io::kWalMagic, io::kWalVersion, 7, 0};
+      std::string body;
+      for (size_t i = 0; i < records.size(); ++i) {
+        std::string payload = serve::persist::EncodeWalRecord(records[i]);
+        if (field.record == i) {
+          std::memcpy(payload.data() + field.offset, &value, sizeof(value));
+        }
+        io::AppendFramedRecord(&body, payload);
+      }
+      if (field.record == records.size()) {
+        header[field.offset / sizeof(uint64_t)] = value;
+      }
+      const std::string bytes =
+          std::string(reinterpret_cast<const char*>(header), sizeof(header)) +
+          body;
+      Diagnostics findings;
+      EXPECT_NO_THROW(findings = LintArtifactBytes(bytes));
+      bool loaded = false;
+      EXPECT_NO_THROW(loaded = ReadWalBytes(bytes, header[2], header[3]).ok());
+      EXPECT_EQ(findings.empty(), loaded)
+          << "record " << field.record << " offset " << field.offset
+          << " value " << value << ": " << CodesOf(findings);
+      ++(loaded ? accepted : refused);
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(refused, 0u);
 }
 
 // ---------------------------------------------------------------------------
