@@ -108,17 +108,12 @@ void PrintPhase(const ServeBenchReport& report) {
 
 /// Times the serving-core embed+probe loop (EMF embedding through the VMF's
 /// singleton map, then an HNSW radius probe of a pre-built catalog index)
-/// under the currently forced kernel table / quant mode.
-KernelBenchReport RunEmbedProbePhase(const std::string& label,
-                                     const VectorMatchingFilter& vmf,
+/// under the currently forced kernel table.
+KernelBenchReport RunEmbedProbePhase(const VectorMatchingFilter& vmf,
                                      const std::vector<EncodedPlan>& encoded,
                                      float radius) {
-  // Index build is serving state, not the measured op; the quant override
-  // follows the process-wide switch, calibrating early enough that even the
-  // smoke-scale workload exercises the SQ8 path.
-  ann::HnswOptions hnsw = vmf.options().hnsw;
-  hnsw.quant = ann::QuantOverride::kAuto;
-  hnsw.sq8_calibration = std::max<size_t>(8, encoded.size() / 2);
+  // Index build is serving state, not the measured op.
+  const ann::HnswOptions& hnsw = vmf.options().hnsw;
   std::unique_ptr<ann::HnswIndex> index;
   for (const EncodedPlan& plan : encoded) {
     auto embedding = vmf.EmbedSingle(plan);
@@ -131,9 +126,7 @@ KernelBenchReport RunEmbedProbePhase(const std::string& label,
   GEQO_CHECK(index != nullptr);
 
   KernelBenchReport report;
-  report.label = label;
   report.isa = kernels::ActiveIsaName();
-  report.quant = kernels::QuantModeName();
   Stopwatch watch;
   // Whole passes over the stream until enough wall clock has accumulated,
   // so both modes are measured over the same op mix.
@@ -152,8 +145,7 @@ KernelBenchReport RunEmbedProbePhase(const std::string& label,
 }
 
 void PrintKernelPhase(const KernelBenchReport& report) {
-  std::printf("%-12s  isa=%-6s quant=%-4s ops=%-6zu %10.1f ops/s\n",
-              report.label.c_str(), report.isa.c_str(), report.quant.c_str(),
+  std::printf("%-6s  ops=%-6zu %10.1f ops/s\n", report.isa.c_str(),
               report.ops, report.ops_per_second);
 }
 
@@ -315,8 +307,8 @@ int main() {
                                         phases.back().class_shortcuts));
 
   // Phase 4: kernel throughput — the embed+probe core of every probe above,
-  // measured under the portable scalar/f32 table and again under the best
-  // dispatched table with SQ8 quantization, for the speedup record.
+  // measured under the portable scalar table and again under the best
+  // dispatched table (both f32), for the speedup record.
   std::printf("\n# embed+probe kernel throughput (%s host)\n",
               kernels::Avx2TableOrNull() != nullptr ? "avx2" : "scalar-only");
   GeqoSystem& system = *context.system;
@@ -333,34 +325,26 @@ int main() {
                            &system.agnostic_layout(), vmf_options);
 
   const kernels::Isa saved_isa = kernels::ActiveIsa();
-  const bool saved_quant = kernels::QuantEnabled();
   std::vector<KernelBenchReport> kernel_phases;
 
   kernels::SetIsa(kernels::Isa::kScalar);
-  kernels::SetQuantMode(false);
-  kernel_phases.push_back(RunEmbedProbePhase("scalar/f32", vmf, encoded,
-                                             vmf_options.radius));
+  kernel_phases.push_back(RunEmbedProbePhase(vmf, encoded, vmf_options.radius));
   PrintKernelPhase(kernel_phases.back());
 
   const kernels::Isa best_isa = kernels::Avx2TableOrNull() != nullptr
                                     ? kernels::Isa::kAvx2
                                     : kernels::Isa::kScalar;
   kernels::SetIsa(best_isa);
-  kernels::SetQuantMode(true);
-  kernel_phases.push_back(RunEmbedProbePhase(
-      std::string(best_isa == kernels::Isa::kAvx2 ? "avx2" : "scalar") +
-          "/sq8",
-      vmf, encoded, vmf_options.radius));
+  kernel_phases.push_back(RunEmbedProbePhase(vmf, encoded, vmf_options.radius));
   PrintKernelPhase(kernel_phases.back());
 
   kernels::SetIsa(saved_isa);
-  kernels::SetQuantMode(saved_quant);
 
   const double speedup =
       kernel_phases[1].ops_per_second /
       std::max(kernel_phases[0].ops_per_second, 1e-12);
-  std::printf("embed+probe speedup (%s over scalar/f32): %.2fx\n",
-              kernel_phases[1].label.c_str(), speedup);
+  std::printf("embed+probe speedup (%s over scalar): %.2fx\n",
+              kernel_phases[1].isa.c_str(), speedup);
 
   // Phase 5: the multi-client open-loop comparison. The baseline is the
   // pre-sharding deployment: the synchronous one-shard catalog behind one

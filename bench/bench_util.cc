@@ -403,7 +403,6 @@ void WriteServeArtifact(const std::vector<ServeBenchReport>& phases,
   json.BeginObject();
   json.Key("kernel").BeginObject();
   json.Key("isa").String(kernels::ActiveIsaName());
-  json.Key("quant").String(kernels::QuantModeName());
   json.EndObject();
   json.Key("phases").BeginArray();
   for (const ServeBenchReport& phase : phases) {
@@ -426,9 +425,7 @@ void WriteServeArtifact(const std::vector<ServeBenchReport>& phases,
     json.Key("embed_probe").BeginArray();
     for (const KernelBenchReport& phase : kernel_phases) {
       json.BeginObject();
-      json.Key("label").String(phase.label);
       json.Key("isa").String(phase.isa);
-      json.Key("quant").String(phase.quant);
       json.Key("ops").Number(static_cast<uint64_t>(phase.ops));
       json.Key("seconds").Number(phase.seconds);
       json.Key("ops_per_second").Number(phase.ops_per_second);
@@ -482,7 +479,6 @@ void WriteE2eArtifact(const std::vector<E2eStreamReport>& streams,
   json.BeginObject();
   json.Key("kernel").BeginObject();
   json.Key("isa").String(kernels::ActiveIsaName());
-  json.Key("quant").String(kernels::QuantModeName());
   json.EndObject();
   json.Key("streams").BeginArray();
   for (const E2eStreamReport& stream : streams) {

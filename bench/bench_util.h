@@ -156,13 +156,11 @@ struct ServeBenchReport {
   double total_seconds = 0.0;
 };
 
-/// \brief One kernel-mode measurement of the serving-core embed+probe loop
+/// \brief One kernel-table measurement of the serving-core embed+probe loop
 /// (EMF embedding + HNSW radius probe per op), for BENCH_serve.json.
 struct KernelBenchReport {
-  std::string label;  ///< "scalar/f32", "avx2/sq8", ...
-  std::string isa;    ///< kernel table the ops dispatched through
-  std::string quant;  ///< "f32" or "sq8"
-  size_t ops = 0;     ///< embed+probe iterations timed
+  std::string isa;  ///< kernel table the ops dispatched through
+  size_t ops = 0;   ///< embed+probe iterations timed
   double seconds = 0.0;
   double ops_per_second = 0.0;
 };
@@ -199,11 +197,10 @@ struct DurabilityBenchReport {
 };
 
 /// \brief Writes the serving benchmark artifact (BENCH_serve.json) with one
-/// entry per phase, the active kernel ISA / quant mode, the embed+probe
-/// throughput per kernel mode, the SIMD-over-scalar speedup, and — when the
-/// multi-client phase ran — the open-loop concurrent reports plus the
-/// sharded-over-baseline p99 speedup; flushes trace artifacts when
-/// GEQO_TRACE is enabled.
+/// entry per phase, the active kernel ISA, the embed+probe throughput per
+/// kernel table, the SIMD-over-scalar speedup, and — when the multi-client
+/// phase ran — the open-loop concurrent reports plus the sharded-over-baseline
+/// p99 speedup; flushes trace artifacts when GEQO_TRACE is enabled.
 void WriteServeArtifact(const std::vector<ServeBenchReport>& phases,
                         const std::vector<KernelBenchReport>& kernel_phases =
                             std::vector<KernelBenchReport>(),

@@ -33,6 +33,14 @@ if grep -rnE '^\s*#\s*include\s*["<](.*/)?row_executor\.h' \
   exit 1
 fi
 
+# The tensor, nn and ann layers have one f32 arithmetic. The int8/SQ8 path
+# (a process-wide switch, int8 kernels and an int8 matmul) measured slower
+# than f32 on the AVX2 table and was removed; it must not come back.
+if grep -rnE 'GEQO_QUANT|SetQuantMode|sq8_distance|dot_i8|MatMulNTSq8' src; then
+  echo "the removed int8 path reappeared under src/" >&2
+  exit 1
+fi
+
 echo "== plain build =="
 cmake -B build -S . >/dev/null
 cmake --build build -j "$jobs"
@@ -43,7 +51,7 @@ echo "== forced-scalar ctest lane (GEQO_ISA=scalar) =="
 # The portable kernel table must behave exactly like the dispatched one
 # across the whole suite — this is the lane that keeps non-AVX2 hosts
 # honest. GEQO_CHECK_SCALAR_FILTER narrows it (ctest -R on gtest suite
-# names, e.g. 'KernelTable|Quant|Hnsw|Tensor') when CI time is tight.
+# names, e.g. 'KernelTable|Hnsw|Tensor') when CI time is tight.
 scalar_filter=(${GEQO_CHECK_SCALAR_FILTER:+-R "$GEQO_CHECK_SCALAR_FILTER"})
 GEQO_ISA=scalar ctest --test-dir build --output-on-failure -j "$jobs" \
   "${scalar_filter[@]}" "$@"
@@ -196,17 +204,17 @@ if [[ "${GEQO_CHECK_SKIP_ASAN:-0}" == "1" ]]; then
 else
   echo "== ASan build (kernel parity, binary decoders) =="
   # The SIMD kernels read in 32-byte lanes with scalar tails; ASan over the
-  # parity and quantization suites catches any out-of-bounds lane, on both
-  # the dispatched and the forced-scalar table. EmfDedup adds the EMF's
-  # shared-embedding gathers and slot-map key arrays.
+  # parity suites catches any out-of-bounds lane, on both the dispatched and
+  # the forced-scalar table. EmfDedup adds the EMF's shared-embedding
+  # gathers and slot-map key arrays.
   cmake -B build-asan -S . -DGEQO_SANITIZE=address >/dev/null
-  cmake --build build-asan -j "$jobs" --target kernels_test quant_test \
-    hnsw_test tensor_test filters_test lint_test persist_test
+  cmake --build build-asan -j "$jobs" --target kernels_test hnsw_test \
+    tensor_test filters_test lint_test persist_test
   echo "== ASan kernel-parity ctest =="
   ctest --test-dir build-asan --output-on-failure -j "$jobs" \
-    -R 'KernelTable|Alignment|Quant|Hnsw|Tensor|EmfDedup' "$@"
+    -R 'KernelTable|Alignment|Hnsw|Tensor|EmfDedup' "$@"
   GEQO_ISA=scalar ctest --test-dir build-asan --output-on-failure -j "$jobs" \
-    -R 'KernelTable|Alignment|Quant|EmfDedup' "$@"
+    -R 'KernelTable|Alignment|Hnsw|Tensor|EmfDedup' "$@"
   echo "== ASan binary-decoder ctest =="
   # Every binary format has one decoder, shared by its loader and
   # geqo_lint; the corruption, field-sweep and crash-recovery suites drive

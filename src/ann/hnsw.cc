@@ -10,29 +10,26 @@
 #include "common/binary_io.h"
 #include "common/format_magic.h"
 #include "obs/metrics.h"
-#include "tensor/kernels/kernel_table.h"
 
 namespace geqo::ann {
 namespace {
 
 constexpr uint64_t kHnswMagic = io::kHnswMagic;        // "GEQOHNSW"
 constexpr uint64_t kHnswEndMagic = io::kHnswEndMagic;  // "HNSWEND!"
-constexpr uint64_t kHnswSq8Magic = io::kHnswSq8Magic;  // "HNSWSQ8!"
 constexpr uint64_t kHnswVersion = io::kHnswVersion;
 /// Sanity bound on the stored max level: level draws are geometric with
 /// ratio 1/M, so a real index never comes near it.
 constexpr int64_t kMaxHnswLevel = 64;
 
-bool ResolveQuant(QuantOverride mode) {
-  switch (mode) {
-    case QuantOverride::kOff:
-      return false;
-    case QuantOverride::kOn:
-      return true;
-    case QuantOverride::kAuto:
-      return kernels::QuantEnabled();
+/// Converts a beam of squared distances into true-distance neighbors and
+/// restores the (distance, id) order: distinct squared distances can round
+/// to one true distance, which the id tie-break then orders.
+std::vector<Neighbor> FinishBeam(std::vector<Neighbor> beam) {
+  for (Neighbor& neighbor : beam) {
+    neighbor.distance = std::sqrt(neighbor.distance);
   }
-  return false;
+  std::sort(beam.begin(), beam.end());
+  return beam;
 }
 
 }  // namespace
@@ -40,36 +37,17 @@ bool ResolveQuant(QuantOverride mode) {
 HnswIndex::HnswIndex(size_t dim, HnswOptions options)
     : dim_(dim),
       padded_dim_(AlignedStride(dim, sizeof(float))),
-      code_stride_(AlignedStride(dim, sizeof(uint8_t))),
       options_(options),
       level_multiplier_(1.0 /
                         std::log(static_cast<double>(options.max_connections))),
-      rng_(options.seed),
-      quant_enabled_(ResolveQuant(options.quant)) {
+      rng_(options.seed) {
   GEQO_CHECK(dim_ > 0);
   GEQO_CHECK(options_.max_connections >= 2);
-}
-
-HnswIndex::SearchContext HnswIndex::MakeContext(const float* query) const {
-  SearchContext ctx;
-  ctx.query = query;
-  ctx.quantized = quant_enabled_ && calibrated_;
-  if (ctx.quantized) {
-    ctx.shifted.resize(dim_);
-    std::copy(query, query + dim_, ctx.shifted.data());
-    kernels::Active().sub(ctx.shifted.data(), range_min_.data(), dim_);
-  }
-  return ctx;
 }
 
 float HnswIndex::DistanceSq(const SearchContext& ctx, uint32_t id) const {
   if (obs::MetricsEnabled()) {
     pending_distances_.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (ctx.quantized) {
-    return kernels::Active().sq8_distance(ctx.shifted.data(), scale_.data(),
-                                          codes_.data() + id * code_stride_,
-                                          dim_);
   }
   return ops::SquaredDistance(ctx.query, vector(id), dim_);
 }
@@ -97,44 +75,6 @@ int HnswIndex::RandomLevel() {
   return static_cast<int>(-std::log(u) * level_multiplier_);
 }
 
-void HnswIndex::EncodeVector(uint32_t id) {
-  const float* v = vector(id);
-  uint8_t* codes = codes_.data() + static_cast<size_t>(id) * code_stride_;
-  for (size_t i = 0; i < dim_; ++i) {
-    if (scale_[i] == 0.0f) {
-      codes[i] = 0;
-      continue;
-    }
-    const long q = std::lrint((v[i] - range_min_[i]) / scale_[i]);
-    codes[i] = static_cast<uint8_t>(std::clamp(q, 0L, 255L));
-  }
-  std::fill(codes + dim_, codes + code_stride_, static_cast<uint8_t>(0));
-}
-
-void HnswIndex::TrackRange(const float* v) {
-  // Sized by the first vector, so an empty index holds no dim-sized state
-  // however large its declared dim.
-  if (range_min_.empty()) {
-    range_min_.assign(v, v + dim_);
-    range_max_ = range_min_;
-    return;
-  }
-  for (size_t i = 0; i < dim_; ++i) {
-    range_min_[i] = std::min(range_min_[i], v[i]);
-    range_max_[i] = std::max(range_max_[i], v[i]);
-  }
-}
-
-void HnswIndex::Calibrate() {
-  scale_.resize(dim_);
-  for (size_t i = 0; i < dim_; ++i) {
-    scale_[i] = (range_max_[i] - range_min_[i]) / 255.0f;
-  }
-  calibrated_ = true;
-  codes_.assign(nodes_.size() * code_stride_, 0);
-  for (uint32_t id = 0; id < nodes_.size(); ++id) EncodeVector(id);
-}
-
 size_t HnswIndex::Add(const std::vector<float>& vector) {
   GEQO_CHECK(vector.size() == dim_);
   return Add(vector.data());
@@ -146,25 +86,11 @@ size_t HnswIndex::Add(const float* vector) {
   float* stored = vectors_.data() + static_cast<size_t>(id) * padded_dim_;
   std::copy(vector, vector + dim_, stored);
 
-  if (quant_enabled_) {
-    if (!calibrated_) {
-      TrackRange(vector);
-    } else {
-      codes_.resize(codes_.size() + code_stride_, 0);
-      EncodeVector(id);  // post-freeze inserts clamp to the frozen ranges
-    }
-  }
-
   const int level = RandomLevel();
   Node node;
   node.level = level;
   node.neighbors.resize(static_cast<size_t>(level) + 1);
   nodes_.push_back(std::move(node));
-
-  if (quant_enabled_ && !calibrated_ &&
-      nodes_.size() >= std::max<size_t>(options_.sq8_calibration, 1)) {
-    Calibrate();
-  }
 
   if (id == 0) {
     max_level_ = level;
@@ -172,7 +98,7 @@ size_t HnswIndex::Add(const float* vector) {
     return id;
   }
 
-  SearchContext ctx = MakeContext(stored);
+  SearchContext ctx(stored);
   uint32_t entry = entry_point_;
   // Greedy descent through layers above the new node's level.
   for (int layer = max_level_; layer > level; --layer) {
@@ -279,26 +205,6 @@ std::vector<Neighbor> HnswIndex::SearchLayer(SearchContext& ctx,
   return out;
 }
 
-std::vector<Neighbor> HnswIndex::FinishBeam(const SearchContext& ctx,
-                                            std::vector<Neighbor> beam) const {
-  // The beam carries squared distances (approximate ones under SQ8). Exact
-  // rerank: recompute f32 squared distances for the quantized case, then
-  // convert to true distance and restore the (distance, id) order — so
-  // reported distances are always exact and quantization can only have
-  // affected which candidates made the beam, not how they are reported.
-  for (Neighbor& neighbor : beam) {
-    const float exact_sq =
-        ctx.quantized
-            ? ops::SquaredDistance(ctx.query,
-                                   vector(static_cast<uint32_t>(neighbor.id)),
-                                   dim_)
-            : neighbor.distance;
-    neighbor.distance = std::sqrt(exact_sq);
-  }
-  std::sort(beam.begin(), beam.end());
-  return beam;
-}
-
 void HnswIndex::Connect(uint32_t id, const std::vector<Neighbor>& candidates,
                         int layer, size_t max_links) {
   auto& my_links = nodes_[id].neighbors[static_cast<size_t>(layer)];
@@ -329,13 +235,13 @@ std::vector<Neighbor> HnswIndex::SearchKnn(const float* query, size_t k,
                                            size_t ef) const {
   if (nodes_.empty()) return {};
   if (ef == 0) ef = std::max(options_.ef_search, k);
-  SearchContext ctx = MakeContext(query);
+  SearchContext ctx(query);
   uint32_t entry = entry_point_;
   for (int layer = max_level_; layer > 0; --layer) {
     entry = GreedySearch(ctx, entry, layer);
   }
   std::vector<Neighbor> result =
-      FinishBeam(ctx, SearchLayer(ctx, entry, ef, /*layer=*/0));
+      FinishBeam(SearchLayer(ctx, entry, ef, /*layer=*/0));
   if (result.size() > k) result.resize(k);
   FoldMetrics();
   return result;
@@ -345,13 +251,13 @@ std::vector<Neighbor> HnswIndex::SearchRadius(const float* query, float radius,
                                               size_t ef) const {
   if (nodes_.empty()) return {};
   if (ef == 0) ef = options_.ef_search;
-  SearchContext ctx = MakeContext(query);
+  SearchContext ctx(query);
   uint32_t entry = entry_point_;
   for (int layer = max_level_; layer > 0; --layer) {
     entry = GreedySearch(ctx, entry, layer);
   }
   const std::vector<Neighbor> beam =
-      FinishBeam(ctx, SearchLayer(ctx, entry, ef, /*layer=*/0));
+      FinishBeam(SearchLayer(ctx, entry, ef, /*layer=*/0));
   std::vector<Neighbor> out;
   for (const Neighbor& neighbor : beam) {
     if (neighbor.distance <= radius) out.push_back(neighbor);
@@ -369,19 +275,6 @@ Status HnswIndex::Serialize(std::ostream& os) const {
   writer.U64(options_.ef_construction);
   writer.U64(options_.ef_search);
   writer.U64(options_.seed);
-  // Quantization block: the *resolved* mode is stored (not the kAuto
-  // request), so a snapshot reproduces its serving behavior regardless of
-  // the GEQO_QUANT environment at load time.
-  writer.U64(quant_enabled_ ? 1 : 0);
-  writer.U64(options_.sq8_calibration);
-  writer.U64(calibrated_ ? 1 : 0);
-  if (quant_enabled_ && calibrated_) {
-    writer.U64(kHnswSq8Magic);
-    for (size_t i = 0; i < dim_; ++i) {
-      writer.F32(range_min_[i]);
-      writer.F32(range_max_[i]);
-    }
-  }
   // The rng's stream position makes post-load Add assign the same levels the
   // uninterrupted index would have.
   for (const uint64_t word : rng_.SaveState()) writer.U64(word);
@@ -422,49 +315,6 @@ bool DecodeHnsw(io::ByteReader* reader, HnswImage* out,
   options.ef_construction = reader->U64();
   options.ef_search = reader->U64();
   options.seed = reader->U64();
-  // v2 quantization block: resolved mode, calibration threshold, calibrated
-  // flag, and — only for a calibrated quantized index — the HNSWSQ8! magic
-  // plus dim (min, max) f32 range pairs.
-  const size_t quant_offset = reader->offset();
-  const uint64_t quant_enabled = reader->U64();
-  options.sq8_calibration = reader->U64();
-  const uint64_t calibrated = reader->U64();
-  if (!reader->ok() || quant_enabled > 1 || calibrated > 1) {
-    return io::Reject(errors, "hnsw.quant", quant_offset,
-                      "invalid quantization flags (quant " +
-                          std::to_string(quant_enabled) + ", calibrated " +
-                          std::to_string(calibrated) + ")");
-  }
-  options.quant = quant_enabled == 1 ? QuantOverride::kOn : QuantOverride::kOff;
-  out->calibrated = calibrated == 1;
-  if (quant_enabled == 1 && out->calibrated) {
-    const size_t sq8_magic_offset = reader->offset();
-    if (reader->U64() != kHnswSq8Magic || !reader->ok()) {
-      return io::Reject(
-          errors, "hnsw.quant-magic", sq8_magic_offset,
-          "calibrated quantized index is missing the HNSWSQ8! range-table "
-          "magic");
-    }
-    if (!reader->Fits(out->dim, 2 * sizeof(float))) {
-      return io::Reject(errors, "hnsw.quant-range", reader->offset(),
-                        "SQ8 range table of " + std::to_string(out->dim) +
-                            " dimensions is cut off");
-    }
-    out->range_min.resize(out->dim);
-    out->range_max.resize(out->dim);
-    for (uint64_t i = 0; i < out->dim; ++i) {
-      const size_t range_offset = reader->offset();
-      out->range_min[i] = reader->F32();
-      out->range_max[i] = reader->F32();
-      if (!std::isfinite(out->range_min[i]) ||
-          !std::isfinite(out->range_max[i]) ||
-          out->range_min[i] > out->range_max[i]) {
-        return io::Reject(errors, "hnsw.quant-range", range_offset,
-                          "SQ8 range for dimension " + std::to_string(i) +
-                              " is corrupt (non-finite or min > max)");
-      }
-    }
-  }
   // The rng's stream position.
   for (uint64_t& word : out->rng_state) word = reader->U64();
   const size_t level_offset = reader->offset();
@@ -573,17 +423,6 @@ std::unique_ptr<HnswIndex> HnswIndex::FromImage(HnswImage image) {
                 dim * sizeof(float));
   }
   index->nodes_ = std::move(image.nodes);
-  if (index->quant_enabled_) {
-    if (image.calibrated) {
-      index->range_min_ = std::move(image.range_min);
-      index->range_max_ = std::move(image.range_max);
-      index->Calibrate();  // derives scales, re-encodes codes from f32
-    } else {
-      // Resume an in-progress calibration: replay the ranges the stored
-      // vectors would have produced.
-      for (size_t id = 0; id < count; ++id) index->TrackRange(index->vector(id));
-    }
-  }
   return index;
 }
 

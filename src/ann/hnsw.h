@@ -29,19 +29,9 @@
 /// the radius-check / result boundary, so the public Neighbor contract is
 /// still true L2 distance.
 ///
-/// Quantization: with SQ8 enabled (HnswOptions::quant, defaulting to the
-/// process-wide GEQO_QUANT switch), the index stores uint8 codes alongside
-/// the f32 vectors. Per-dimension min/max ranges are calibrated from the
-/// first `sq8_calibration` inserts, after which traversal distances use the
-/// asymmetric int8 kernel and the final beam is exactly reranked against the
-/// f32 vectors — quantization error can only reorder the beam's tail, never
-/// the reported distances.
+/// Arithmetic is f32 throughout, through the active kernel table.
 
 namespace geqo::ann {
-
-/// Index-level SQ8 switch: kAuto follows kernels::QuantEnabled() at
-/// construction time, the explicit settings pin it per index.
-enum class QuantOverride : int { kAuto = 0, kOff = 1, kOn = 2 };
 
 /// \brief Construction / search parameters.
 struct HnswOptions {
@@ -49,11 +39,6 @@ struct HnswOptions {
   size_t ef_construction = 100;   ///< beam width while inserting
   size_t ef_search = 64;          ///< default beam width while querying
   uint64_t seed = 0x9e3779b97f4aULL;
-  /// SQ8 storage for traversal distances (see file comment).
-  QuantOverride quant = QuantOverride::kAuto;
-  /// Number of inserts observed before the per-dimension ranges freeze and
-  /// codes are built; until then quantized indexes search in f32.
-  size_t sq8_calibration = 64;
 };
 
 /// \brief One search hit: element id plus its L2 distance to the query.
@@ -80,14 +65,7 @@ struct HnswNode {
 /// \brief A decoded GEQOHNSW section (layout: HnswIndex::Serialize).
 struct HnswImage {
   uint64_t dim = 0;
-  /// Construction parameters; `quant` is the stored, resolved mode (kOn or
-  /// kOff), never kAuto.
   HnswOptions options;
-  bool calibrated = false;
-  /// Frozen SQ8 ranges, dim entries each — only for a calibrated quantized
-  /// index.
-  std::vector<float> range_min;
-  std::vector<float> range_max;
   std::array<uint64_t, 4> rng_state{};
   int64_t max_level = -1;
   uint64_t entry_point = 0;
@@ -100,8 +78,8 @@ struct HnswImage {
 /// \brief Decodes one GEQOHNSW section at \p reader's position — the one
 /// decoder of the format, shared by HnswIndex::Deserialize, the catalog
 /// segment decoder and geqo_lint. It proves every invariant the index
-/// relies on (parameters, quantization block, levels, link ids, entry
-/// point) and never sizes a container beyond what the input can hold.
+/// relies on (version, parameters, levels, link ids, entry point) and
+/// never sizes a container beyond what the input can hold.
 /// Refusals carry hnsw.* codes; returns false when the walk had to stop.
 bool DecodeHnsw(io::ByteReader* reader, HnswImage* out,
                 io::DecodeErrors* errors);
@@ -157,17 +135,10 @@ class HnswIndex {
   }
   const HnswOptions& options() const { return options_; }
 
-  /// True when this index stores SQ8 codes (resolved from options().quant at
-  /// construction, or from the snapshot at load).
-  bool quantized() const { return quant_enabled_; }
-  /// True once the per-dimension ranges have frozen and traversal uses the
-  /// int8 kernel.
-  bool calibrated() const { return calibrated_; }
-
   /// Writes the complete index state — options, the rng's position in its
-  /// stream, quantization ranges, all vectors, and the layered graph — to
-  /// \p os. A deserialized index continues to accept Add calls and produces
-  /// bit-identical search results and level assignments to the original.
+  /// stream, all vectors, and the layered graph — to \p os. A deserialized
+  /// index continues to accept Add calls and produces bit-identical search
+  /// results and level assignments to the original.
   Status Serialize(std::ostream& os) const;
 
   /// Restores an index written by Serialize: DecodeHnsw, then FromImage.
@@ -176,24 +147,18 @@ class HnswIndex {
   static Result<std::unique_ptr<HnswIndex>> Deserialize(std::string_view bytes);
 
   /// Builds the index an image describes; \p image must come from a
-  /// successful DecodeHnsw. The quantization mode stored in the image wins
-  /// over the current GEQO_QUANT environment, so a loaded index reproduces
-  /// the serving behavior it was built with; SQ8 codes are re-encoded
-  /// deterministically from the stored f32 vectors.
+  /// successful DecodeHnsw.
   static std::unique_ptr<HnswIndex> FromImage(HnswImage image);
 
  private:
   using Node = HnswNode;
 
-  /// Per-search state. Quantized traversal needs the query pre-shifted by
-  /// the per-dimension minima (so the range offsets cancel in the kernel);
-  /// building it once per search keeps Distance() scratch-free and searches
-  /// safely concurrent.
+  /// Per-search state; building it once per search keeps searches safely
+  /// concurrent.
   struct SearchContext {
+    explicit SearchContext(const float* q) : query(q) {}
+
     const float* query;
-    /// query - min_, only populated when `quantized` is set.
-    AlignedVector<float> shifted;
-    bool quantized = false;
     /// Per-search scratch for SearchLayer: a byte-mask visited set and the
     /// two beam heaps, allocated once per search instead of per layer (the
     /// hot serving probe was dominated by these allocations, not distance
@@ -203,28 +168,15 @@ class HnswIndex {
     std::vector<Neighbor> candidate_heap;
   };
 
-  SearchContext MakeContext(const float* query) const;
-  /// Squared distance from the context's query to stored element \p id —
-  /// SQ8 approximate when the context is quantized, exact f32 otherwise.
+  /// Squared distance from the context's query to stored element \p id.
   float DistanceSq(const SearchContext& ctx, uint32_t id) const;
   /// Exact f32 squared distance between two stored elements (link pruning).
   float StoredDistanceSq(uint32_t a, uint32_t b) const;
-  /// Converts a beam of squared distances into true-distance neighbors,
-  /// exactly reranking against the f32 vectors when \p ctx is quantized.
-  std::vector<Neighbor> FinishBeam(const SearchContext& ctx,
-                                   std::vector<Neighbor> beam) const;
   /// Drains the pending distance/hop tallies into the metrics registry
   /// ("hnsw.distance_computations", "hnsw.hops"). Called at the end of every
   /// public operation so hot inner loops only touch the local atomics.
   void FoldMetrics() const;
   int RandomLevel();
-  /// Widens the running per-dimension ranges of the calibration sample by
-  /// \p v (dim_ floats).
-  void TrackRange(const float* v);
-  /// Freezes min/max ranges and encodes all stored vectors.
-  void Calibrate();
-  /// Encodes stored element \p id into codes_ using the frozen ranges.
-  void EncodeVector(uint32_t id);
   /// Greedy descent in one layer starting from \p entry.
   uint32_t GreedySearch(const SearchContext& ctx, uint32_t entry,
                         int layer) const;
@@ -239,9 +191,8 @@ class HnswIndex {
 
   size_t dim_;
   /// dim_ rounded up to a whole number of 32-byte blocks; row stride of
-  /// vectors_ (floats) and codes_ (bytes use their own stride).
+  /// vectors_ (floats).
   size_t padded_dim_;
-  size_t code_stride_;
   HnswOptions options_;
   double level_multiplier_;
   Rng rng_;
@@ -250,16 +201,6 @@ class HnswIndex {
   std::vector<Node> nodes_;
   int max_level_ = -1;
   uint32_t entry_point_ = 0;
-
-  /// SQ8 state (see file comment). The ranges have dim_ entries from the
-  /// first insert on, scale_ once calibrated; codes_ is one padded row per
-  /// element.
-  bool quant_enabled_ = false;
-  bool calibrated_ = false;
-  std::vector<float> range_min_;
-  std::vector<float> range_max_;
-  std::vector<float> scale_;
-  AlignedVector<uint8_t> codes_;
 
   /// Index-local observability tallies. Searches run concurrently from the
   /// VMF's parallel region, so these are relaxed atomics (statistics only);

@@ -64,15 +64,11 @@ constexpr uint64_t kWalVersion = 1;
 /// it is embedded in the system snapshot and in standalone state files.
 constexpr uint64_t kModelStateMagic = 0x4745514f4d4f444cULL;
 
-/// HNSW index section ("GEQOHNSW" ... "HNSWEND!"). v2 added the SQ8
-/// quantization block after the header parameters: resolved quant mode,
-/// calibration threshold, calibrated flag, and — when quantized and
-/// calibrated — the "HNSWSQ8!" sub-magic followed by dim (min, max) f32
-/// pairs. Codes are not stored; they re-encode deterministically from the
-/// f32 vectors at load.
+/// HNSW index section ("GEQOHNSW" ... "HNSWEND!"; layout:
+/// HnswIndex::Serialize). Only this version decodes: others, including v2
+/// with its quantization block, are refused (hnsw.version).
 constexpr uint64_t kHnswMagic = 0x4745514f484e5357ULL;
 constexpr uint64_t kHnswEndMagic = 0x484e5357454e4421ULL;
-constexpr uint64_t kHnswSq8Magic = 0x484e535753513821ULL;
-constexpr uint64_t kHnswVersion = 2;
+constexpr uint64_t kHnswVersion = 3;
 
 }  // namespace geqo::io

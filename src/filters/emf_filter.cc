@@ -136,11 +136,10 @@ Result<std::vector<float>> EquivalenceModelFilter::Scores(
   });
 
   // Head: the same batch_size pair batches as a per-pair conversion would
-  // feed it. With GEQO_QUANT on, a head batch of >= 8 rows runs int8, so
-  // keeping the batches keeps every score bit-identical to scoring the
-  // batch's converted pairs with PredictProba. As in every region above,
-  // workers write disjoint slots and call only re-entrant model inference
-  // (EmfModel class comment).
+  // feed it, so every score is bit-identical to scoring the batch's
+  // converted pairs with PredictProba. As in every region above, workers
+  // write disjoint slots and call only re-entrant model inference (EmfModel
+  // class comment).
   std::vector<float> scores(pairs.size());
   ParallelFor(0, num_batches, [&](size_t batch_index) {
     const size_t begin = batch_index * batch_size;

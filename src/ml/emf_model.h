@@ -75,8 +75,8 @@ class EmfModel {
 
   /// Classifier-head logits, shape [n, 1], for pairs whose trunk embeddings
   /// (Embed rows) are row i of \p lhs_embedding and \p rhs_embedding, both
-  /// [n, h]. With GEQO_QUANT on, the head's linear layers switch to int8 at
-  /// 8 rows, so a logit depends on n. Re-entrant (see class comment).
+  /// [n, h]. Each logit depends on its own pair only. Re-entrant (see class
+  /// comment).
   Tensor InferHead(const Tensor& lhs_embedding,
                    const Tensor& rhs_embedding) const;
 

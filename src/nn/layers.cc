@@ -29,18 +29,8 @@ Tensor Linear::Infer(const Tensor& x) const {
   GEQO_CHECK(x.cols() == weight_.cols())
       << "Linear input " << x.ShapeString() << " vs weight "
       << weight_.ShapeString();
-  // Quantized batch path: int8 dynamic quantization pays one maxabs scan per
-  // row, so it only wins when the weight matrix is reused across enough rows.
-  // Activations and weights are re-quantized per call (no cached codes to
-  // invalidate when SSFL retraining moves the weights); the int8 arithmetic
-  // itself is bit-identical across ISA tables. With quantization enabled,
-  // Infer output is NOT bit-identical to Forward(x, training=false) — the
-  // EMF accuracy budget for this approximation is asserted by quant_test.
-  constexpr size_t kQuantMinRows = 8;
-  Tensor y = kernels::QuantEnabled() && x.rows() >= kQuantMinRows
-                 ? ops::MatMulNTSq8(x, weight_)
-                 : ops::MatMul(x, weight_, /*transpose_a=*/false,
-                               /*transpose_b=*/true);
+  Tensor y = ops::MatMul(x, weight_, /*transpose_a=*/false,
+                         /*transpose_b=*/true);
   ops::AddRowVectorInPlace(&y, bias_);
   return y;
 }

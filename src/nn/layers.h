@@ -17,10 +17,7 @@
 /// the backward caches. Infer is safe to call concurrently from many threads
 /// on one layer instance as long as no thread trains it — the thread-safety
 /// contract the parallel filter cascade relies on (DESIGN.md, "Concurrency
-/// model"). One exception to the Forward equivalence: when the process-wide
-/// int8 switch is on (kernels::QuantEnabled), Linear::Infer routes batches of
-/// >= 8 rows through the SQ8 matmul, trading bit-exactness for throughput
-/// inside the accuracy budget documented in DESIGN.md §9.
+/// model").
 
 namespace geqo::nn {
 

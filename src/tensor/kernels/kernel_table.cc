@@ -11,7 +11,6 @@ namespace {
 
 std::atomic<const KernelTable*> g_active{nullptr};
 std::atomic<int> g_active_isa{static_cast<int>(Isa::kScalar)};
-std::atomic<bool> g_quant{false};
 std::once_flag g_init_once;
 
 const KernelTable* TableFor(Isa isa) {
@@ -24,14 +23,9 @@ const KernelTable* TableFor(Isa isa) {
   return nullptr;
 }
 
-bool ParseBoolEnv(const char* value) {
-  const std::string v(value);
-  return v == "1" || v == "on" || v == "true";
-}
-
-/// Resolves GEQO_ISA / GEQO_QUANT exactly once. Unknown specs and
-/// unavailable ISAs degrade with a warning rather than aborting: a serving
-/// binary started with a stale env var should come up (slower), not crash.
+/// Resolves GEQO_ISA exactly once. Unknown specs and unavailable ISAs
+/// degrade with a warning rather than aborting: a serving binary started
+/// with a stale env var should come up (slower), not crash.
 void InitFromEnv() {
   Isa isa = Isa::kScalar;
   const char* spec = std::getenv("GEQO_ISA");
@@ -50,11 +44,6 @@ void InitFromEnv() {
   }
   g_active_isa.store(static_cast<int>(isa), std::memory_order_relaxed);
   g_active.store(table, std::memory_order_release);
-
-  const char* quant = std::getenv("GEQO_QUANT");
-  if (quant != nullptr) {
-    g_quant.store(ParseBoolEnv(quant), std::memory_order_relaxed);
-  }
 }
 
 void EnsureInit() { std::call_once(g_init_once, InitFromEnv); }
@@ -107,17 +96,5 @@ bool ResolveIsaSpec(const std::string& spec, Isa* out) {
   }
   return false;
 }
-
-bool QuantEnabled() {
-  EnsureInit();
-  return g_quant.load(std::memory_order_relaxed);
-}
-
-void SetQuantMode(bool on) {
-  EnsureInit();
-  g_quant.store(on, std::memory_order_relaxed);
-}
-
-const char* QuantModeName() { return QuantEnabled() ? "sq8" : "f32"; }
 
 }  // namespace geqo::kernels

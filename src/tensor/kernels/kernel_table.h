@@ -20,10 +20,7 @@
 ///   2. `auto` (default): CPUID probe — AVX2+FMA present picks the AVX2 table.
 ///
 /// Benches and tests can flip tables after startup with SetIsa(); production
-/// code never does. A separate process-wide quantization switch (`GEQO_QUANT`,
-/// SetQuantMode) gates the int8 paths layered on top of the f32 kernels; the
-/// two knobs are independent — quantized distances work (slower) on the
-/// scalar table too, which is what makes parity testing possible.
+/// code never does. All float arithmetic is f32 on every table.
 
 namespace geqo::kernels {
 
@@ -57,17 +54,6 @@ struct KernelTable {
   void (*mul)(float* dst, const float* src, std::size_t n);
   /// dst[i] *= s
   void (*scale)(float* dst, float s, std::size_t n);
-  /// Asymmetric SQ8 distance (ADC): sum_i (t[i] - scale[i]*codes[i])^2.
-  /// The caller pre-subtracts the per-dimension minimum from the query so
-  /// t = query - min; the stored side decodes as min + scale*code and the
-  /// min offsets cancel. Query side stays f32, so only the stored vector
-  /// carries quantization error.
-  float (*sq8_distance)(const float* t, const float* scale,
-                        const std::uint8_t* codes, std::size_t n);
-  /// sum_i a[i]*b[i] in int32 — exact, table-independent (used by the
-  /// quantized EMF batch path, which must be bit-identical across ISAs).
-  std::int32_t (*dot_i8)(const std::int8_t* a, const std::int8_t* b,
-                         std::size_t n);
 
   // --- f64 executor kernels -------------------------------------------------
   // The vectorized query executor (src/exec) evaluates expressions over dense
@@ -121,14 +107,5 @@ bool SetIsa(Isa isa);
 /// GEQO_ISA). Returns false on an unrecognised spec. "auto" resolves to the
 /// best ISA the host supports.
 bool ResolveIsaSpec(const std::string& spec, Isa* out);
-
-/// Process-wide int8 switch: when on, HNSW indexes default to SQ8 storage and
-/// Linear::Infer quantizes large batches. Resolved once from `GEQO_QUANT`
-/// (truthy: "1", "on", "true"); SetQuantMode overrides it at runtime.
-bool QuantEnabled();
-void SetQuantMode(bool on);
-
-/// "sq8" or "f32" — for StageReport tags and bench artifacts.
-const char* QuantModeName();
 
 }  // namespace geqo::kernels

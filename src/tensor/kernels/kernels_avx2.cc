@@ -7,12 +7,12 @@
 /// builds, where Avx2TableOrNull() simply reports "unavailable".
 ///
 /// Accuracy contract: float reductions use four independent accumulators and
-/// a lane-tree horizontal sum, so dot/squared_distance/sq8_distance may
-/// differ from the scalar table by reassociation only (tested to a small ULP
-/// bound in kernels_test). Elementwise ops and dot_i8 are exact — identical
-/// bits to the scalar table — because per-element float ops and int32
-/// arithmetic don't reassociate. (axpy uses FMA, so its single rounding per
-/// element can differ from scalar mul+add by <= 1 ULP per update.)
+/// a lane-tree horizontal sum, so dot/squared_distance may differ from the
+/// scalar table by reassociation only (tested to a small ULP bound in
+/// kernels_test). Elementwise ops are exact — identical bits to the scalar
+/// table — because per-element float ops don't reassociate. (axpy uses FMA,
+/// so its single rounding per element can differ from scalar mul+add by
+/// <= 1 ULP per update.)
 
 #if defined(GEQO_KERNELS_AVX2)
 
@@ -26,14 +26,6 @@ float Hsum(__m256 v) {
   s = _mm_add_ps(s, _mm_movehl_ps(s, s));
   s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 0x55));
   return _mm_cvtss_f32(s);
-}
-
-std::int32_t HsumI32(__m256i v) {
-  __m128i s =
-      _mm_add_epi32(_mm256_castsi256_si128(v), _mm256_extracti128_si256(v, 1));
-  s = _mm_add_epi32(s, _mm_srli_si128(s, 8));
-  s = _mm_add_epi32(s, _mm_srli_si128(s, 4));
-  return _mm_cvtsi128_si32(s);
 }
 
 float DotAvx2(const float* a, const float* b, std::size_t n) {
@@ -134,47 +126,6 @@ void ScaleAvx2(float* dst, float s, std::size_t n) {
   for (; i < n; ++i) dst[i] *= s;
 }
 
-float Sq8DistanceAvx2(const float* t, const float* scale,
-                      const std::uint8_t* codes, std::size_t n) {
-  __m256 acc = _mm256_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    // 8 uint8 codes -> 8 int32 lanes -> f32, then d = t - scale*code.
-    const __m256 c = _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(codes + i))));
-    const __m256 d = _mm256_fnmadd_ps(_mm256_loadu_ps(scale + i), c,
-                                      _mm256_loadu_ps(t + i));
-    acc = _mm256_fmadd_ps(d, d, acc);
-  }
-  float sum = Hsum(acc);
-  for (; i < n; ++i) {
-    const float d = t[i] - scale[i] * static_cast<float>(codes[i]);
-    sum += d * d;
-  }
-  return sum;
-}
-
-std::int32_t DotI8Avx2(const std::int8_t* a, const std::int8_t* b,
-                       std::size_t n) {
-  // 16 int8 pairs per step: widen to i16, madd to pairwise i32 sums. i16*i16
-  // products accumulate in i32 inside madd, so the result is exact and
-  // bit-identical to the scalar table.
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m256i va = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i)));
-    const __m256i vb = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i)));
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(va, vb));
-  }
-  std::int32_t sum = HsumI32(acc);
-  for (; i < n; ++i) {
-    sum += static_cast<std::int32_t>(a[i]) * static_cast<std::int32_t>(b[i]);
-  }
-  return sum;
-}
-
 void AddF64Avx2(double* dst, const double* src, std::size_t n) {
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
@@ -271,7 +222,6 @@ std::size_t CmpSelectF64Avx2(int op, const double* a, const double* b,
 constexpr KernelTable kAvx2Table = {
     "avx2",         DotAvx2, AxpyAvx2, SquaredDistanceAvx2,
     AddAvx2,        SubAvx2, MulAvx2,  ScaleAvx2,
-    Sq8DistanceAvx2, DotI8Avx2,
     AddF64Avx2,     SubF64Avx2, MulF64Avx2, DivF64Avx2,
     FillF64Avx2,    CmpSelectF64Avx2,
 };

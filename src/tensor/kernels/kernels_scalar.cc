@@ -46,25 +46,6 @@ void ScaleScalar(float* dst, float s, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) dst[i] *= s;
 }
 
-float Sq8DistanceScalar(const float* t, const float* scale,
-                        const std::uint8_t* codes, std::size_t n) {
-  float acc = 0.0f;
-  for (std::size_t i = 0; i < n; ++i) {
-    const float d = t[i] - scale[i] * static_cast<float>(codes[i]);
-    acc += d * d;
-  }
-  return acc;
-}
-
-std::int32_t DotI8Scalar(const std::int8_t* a, const std::int8_t* b,
-                         std::size_t n) {
-  std::int32_t acc = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    acc += static_cast<std::int32_t>(a[i]) * static_cast<std::int32_t>(b[i]);
-  }
-  return acc;
-}
-
 void AddF64Scalar(double* dst, const double* src, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) dst[i] += src[i];
 }
@@ -120,7 +101,6 @@ std::size_t CmpSelectF64Scalar(int op, const double* a, const double* b,
 constexpr KernelTable kScalarTable = {
     "scalar",         DotScalar, AxpyScalar, SquaredDistanceScalar,
     AddScalar,        SubScalar, MulScalar,  ScaleScalar,
-    Sq8DistanceScalar, DotI8Scalar,
     AddF64Scalar,     SubF64Scalar, MulF64Scalar, DivF64Scalar,
     FillF64Scalar,    CmpSelectF64Scalar,
 };

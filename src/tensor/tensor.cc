@@ -35,27 +35,6 @@ void CountKernel(double flops) {
 /// unblocked ikj kernel (and independent of the blocking factor).
 constexpr size_t kMatMulKBlock = 64;
 
-/// Quantizes one f32 row to int8 with symmetric maxabs/127 scaling, zeroing
-/// the padded tail. Returns the dequantization scale (maxabs / 127). Plain
-/// scalar code on purpose: quantization must produce the same codes whatever
-/// kernel table is active, so only the (exact) int8 dot goes through the
-/// table.
-float QuantizeRowI8(const float* row, size_t n, int8_t* out, size_t stride) {
-  float maxabs = 0.0f;
-  for (size_t i = 0; i < n; ++i) maxabs = std::max(maxabs, std::fabs(row[i]));
-  if (maxabs == 0.0f) {
-    std::fill(out, out + stride, static_cast<int8_t>(0));
-    return 0.0f;
-  }
-  const float inv = 127.0f / maxabs;
-  for (size_t i = 0; i < n; ++i) {
-    const long q = std::lrint(row[i] * inv);
-    out[i] = static_cast<int8_t>(std::clamp(q, -127L, 127L));
-  }
-  std::fill(out + n, out + stride, static_cast<int8_t>(0));
-  return maxabs / 127.0f;
-}
-
 }  // namespace
 
 Tensor MatMul(const Tensor& a, const Tensor& b, bool transpose_a,
@@ -123,44 +102,6 @@ Tensor MatMul(const Tensor& a, const Tensor& b, bool transpose_a,
       float acc = 0.0f;
       for (size_t kk = 0; kk < k; ++kk) acc += a.At(kk, i) * b.At(j, kk);
       out.At(i, j) = acc;
-    }
-  }
-  return out;
-}
-
-Tensor MatMulNTSq8(const Tensor& a, const Tensor& b) {
-  GEQO_CHECK(a.cols() == b.cols())
-      << "MatMulNTSq8 shape mismatch: " << a.ShapeString() << " x "
-      << b.ShapeString();
-  const size_t m = a.rows();
-  const size_t n = b.rows();
-  const size_t k = a.cols();
-  Tensor out(m, n);
-  CountKernel(2.0 * static_cast<double>(m) * static_cast<double>(n) *
-              static_cast<double>(k));
-  const kernels::KernelTable& kt = kernels::Active();
-
-  // Rows are padded to the kernel alignment with zero codes; zeros add
-  // nothing to the integer dot, so the padded length can be passed straight
-  // to dot_i8 and every row starts 32-byte aligned.
-  const size_t stride = AlignedStride(k, sizeof(int8_t));
-  AlignedVector<int8_t> qa(m * stride);
-  AlignedVector<int8_t> qb(n * stride);
-  std::vector<float> scale_a(m);
-  std::vector<float> scale_b(n);
-  for (size_t i = 0; i < m; ++i) {
-    scale_a[i] = QuantizeRowI8(a.Row(i), k, qa.data() + i * stride, stride);
-  }
-  for (size_t j = 0; j < n; ++j) {
-    scale_b[j] = QuantizeRowI8(b.Row(j), k, qb.data() + j * stride, stride);
-  }
-
-  for (size_t i = 0; i < m; ++i) {
-    const int8_t* qa_row = qa.data() + i * stride;
-    float* out_row = out.Row(i);
-    for (size_t j = 0; j < n; ++j) {
-      const int32_t acc = kt.dot_i8(qa_row, qb.data() + j * stride, stride);
-      out_row[j] = static_cast<float>(acc) * scale_a[i] * scale_b[j];
     }
   }
   return out;

@@ -148,14 +148,6 @@ namespace ops {
 Tensor MatMul(const Tensor& a, const Tensor& b, bool transpose_a = false,
               bool transpose_b = false);
 
-/// C = A x B^T via dynamic int8 quantization: each row of A and of B is
-/// scaled symmetrically (maxabs / 127) to int8, products accumulate exactly
-/// in int32, and the result is dequantized by the two row scales. Used by the
-/// quantized EMF batch-inference path; the int8 arithmetic is bit-identical
-/// across ISA tables (only the quantization itself is lossy). Requires
-/// a.cols() == b.cols().
-Tensor MatMulNTSq8(const Tensor& a, const Tensor& b);
-
 /// out = a + b (elementwise, same shape).
 Tensor Add(const Tensor& a, const Tensor& b);
 /// out = a - b (elementwise).

@@ -267,8 +267,8 @@ class EmfDedupTest : public FiltersTest {
     return *encoded;
   }
 
-  /// Every (i, j), i < j, cut so the last batch has 3 pairs: both the f32
-  /// and (with GEQO_QUANT) the int8 head batch shapes occur.
+  /// Every (i, j), i < j, cut so the last batch has 3 pairs: a short head
+  /// batch occurs beside the full ones.
   static Pairs WorkloadPairs() {
     Pairs pairs;
     for (size_t i = 0; i < Workload().size(); ++i) {
@@ -301,13 +301,11 @@ class EmfDedupTest : public FiltersTest {
 
   void TearDown() override {
     ThreadPool::SetGlobalThreads(threads_);
-    kernels::SetQuantMode(quant_);
     kernels::SetIsa(isa_);
   }
 
  private:
   const size_t threads_ = ThreadPool::GlobalThreads();
-  const bool quant_ = kernels::QuantEnabled();
   const kernels::Isa isa_ = kernels::ActiveIsa();
 };
 
@@ -318,22 +316,18 @@ TEST_F(EmfDedupTest, ScoresMatchPerPairOracleBitForBit) {
   size_t combinations = 0;
   for (const kernels::Isa isa : {kernels::Isa::kScalar, kernels::Isa::kAvx2}) {
     if (!kernels::SetIsa(isa)) continue;  // no AVX2 on this host
-    for (const bool quant : {false, true}) {
-      kernels::SetQuantMode(quant);
-      const auto expected = Oracle(pairs, views);
-      ASSERT_TRUE(expected.ok()) << expected.status().ToString();
-      for (const size_t threads : {1, 2, 8}) {
-        ThreadPool::SetGlobalThreads(threads);
-        const auto scores = emf.Scores(pairs, Workload());
-        ASSERT_TRUE(scores.ok()) << scores.status().ToString();
-        EXPECT_EQ(FirstBitMismatch(*scores, *expected), -1)
-            << "isa=" << kernels::ActiveIsaName() << " quant=" << quant
-            << " threads=" << threads;
-        ++combinations;
-      }
+    const auto expected = Oracle(pairs, views);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    for (const size_t threads : {1, 2, 8}) {
+      ThreadPool::SetGlobalThreads(threads);
+      const auto scores = emf.Scores(pairs, Workload());
+      ASSERT_TRUE(scores.ok()) << scores.status().ToString();
+      EXPECT_EQ(FirstBitMismatch(*scores, *expected), -1)
+          << "isa=" << kernels::ActiveIsaName() << " threads=" << threads;
+      ++combinations;
     }
   }
-  EXPECT_GE(combinations, 6u);
+  EXPECT_GE(combinations, 3u);
 }
 
 TEST_F(EmfDedupTest, ViewOverloadWithQuerySlotMatchesOracle) {
@@ -343,17 +337,14 @@ TEST_F(EmfDedupTest, ViewOverloadWithQuerySlotMatchesOracle) {
   Pairs pairs;
   for (size_t k = 1; k < plans.size(); ++k) pairs.emplace_back(0, k);
   const EquivalenceModelFilter emf = Filter();
-  for (const bool quant : {false, true}) {
-    kernels::SetQuantMode(quant);
-    const auto expected = Oracle(pairs, views);
-    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
-    for (const size_t threads : {1, 8}) {
-      ThreadPool::SetGlobalThreads(threads);
-      const auto scores = emf.Scores(pairs, views);
-      ASSERT_TRUE(scores.ok()) << scores.status().ToString();
-      EXPECT_EQ(FirstBitMismatch(*scores, *expected), -1)
-          << "quant=" << quant << " threads=" << threads;
-    }
+  const auto expected = Oracle(pairs, views);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  for (const size_t threads : {1, 8}) {
+    ThreadPool::SetGlobalThreads(threads);
+    const auto scores = emf.Scores(pairs, views);
+    ASSERT_TRUE(scores.ok()) << scores.status().ToString();
+    EXPECT_EQ(FirstBitMismatch(*scores, *expected), -1)
+        << "threads=" << threads;
   }
 }
 

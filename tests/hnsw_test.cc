@@ -240,128 +240,56 @@ TEST(HnswTest, VectorStorageIsKernelAligned) {
   }
 }
 
-TEST(HnswTest, QuantizedIndexCalibratesAndSearches) {
-  Rng rng(32);
-  HnswOptions options;
-  options.quant = QuantOverride::kOn;
-  options.sq8_calibration = 20;
-  HnswIndex index(8, options);
-  EXPECT_TRUE(index.quantized());
-  const auto points = RandomPoints(120, 8, &rng);
-  for (size_t i = 0; i < points.size(); ++i) {
-    index.Add(points[i]);
-    // Ranges freeze exactly at the calibration threshold.
-    EXPECT_EQ(index.calibrated(), i + 1 >= options.sq8_calibration);
-  }
-
-  // Reasonable recall against exact search, and exact reported distances.
-  double recalled = 0.0;
-  double expected = 0.0;
-  for (size_t q = 0; q < points.size(); q += 7) {
-    const auto exact = index.ExactRadius(points[q].data(), 2.5f);
-    const auto approx = index.SearchRadius(points[q].data(), 2.5f);
-    expected += static_cast<double>(exact.size());
-    for (const auto& hit : exact) {
-      for (const auto& candidate : approx) {
-        if (candidate.id == hit.id) {
-          recalled += 1.0;
-          break;
-        }
-      }
-    }
-    for (const auto& candidate : approx) {
-      const float d = std::sqrt(ops::SquaredDistance(
-          points[q].data(), index.vector(candidate.id), index.dim()));
-      EXPECT_FLOAT_EQ(candidate.distance, d);
-    }
-  }
-  ASSERT_GT(expected, 0.0);
-  EXPECT_GE(recalled / expected, 0.9);
-}
-
-TEST(HnswTest, QuantizedSnapshotRoundTripsAndIgnoresEnvironment) {
-  Rng rng(33);
-  HnswOptions options;
-  options.quant = QuantOverride::kOn;
-  options.sq8_calibration = 16;
-  HnswIndex index(5, options);
-  const auto points = RandomPoints(80, 5, &rng);
-  for (const auto& point : points) index.Add(point);
-  ASSERT_TRUE(index.calibrated());
-
-  std::stringstream buffer;
-  ASSERT_TRUE(index.Serialize(buffer).ok());
-  // The snapshot stores the resolved quant mode: loading must reproduce the
-  // quantized index even though the process-wide switch is off here.
-  auto loaded = HnswIndex::Deserialize(buffer.str());
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_TRUE((*loaded)->quantized());
-  EXPECT_TRUE((*loaded)->calibrated());
-
-  for (size_t q = 0; q < points.size(); q += 9) {
-    const auto before = index.SearchKnn(points[q].data(), 5);
-    const auto after = (*loaded)->SearchKnn(points[q].data(), 5);
-    ASSERT_EQ(before.size(), after.size());
-    for (size_t i = 0; i < before.size(); ++i) {
-      EXPECT_EQ(before[i].id, after[i].id);
-      EXPECT_FLOAT_EQ(before[i].distance, after[i].distance);
-    }
-  }
-
-  // Growing the loaded index matches the uninterrupted one byte-for-byte
-  // (codes re-encode deterministically from the stored f32 vectors).
-  Rng more_rng(34);
-  const auto more = RandomPoints(20, 5, &more_rng);
-  for (const auto& point : more) {
-    index.Add(point);
-    (*loaded)->Add(point);
-  }
-  std::stringstream a;
-  std::stringstream b;
-  ASSERT_TRUE(index.Serialize(a).ok());
-  ASSERT_TRUE((*loaded)->Serialize(b).ok());
-  EXPECT_EQ(a.str(), b.str());
-}
-
-TEST(HnswTest, CorruptedCalibrationIsRejectedAtLoad) {
+TEST(HnswTest, CorruptedHeaderIsRejectedAtLoad) {
   Rng rng(35);
-  HnswOptions options;
-  options.quant = QuantOverride::kOn;
-  options.sq8_calibration = 8;
-  HnswIndex index(4, options);
+  HnswIndex index(4);
   for (const auto& point : RandomPoints(30, 4, &rng)) index.Add(point);
-  ASSERT_TRUE(index.calibrated());
   std::stringstream buffer;
   ASSERT_TRUE(index.Serialize(buffer).ok());
-  std::string bytes = buffer.str();
+  const std::string bytes = buffer.str();
 
-  // The range table sits right after the HNSWSQ8! sub-magic (7 header u64s +
-  // 3 quant u64s in). Swap a (min, max) pair so min > max.
-  const size_t table_offset = 11 * sizeof(uint64_t);
-  float range_min = 0.0f;
-  float range_max = 0.0f;
-  std::memcpy(&range_min, bytes.data() + table_offset, sizeof(float));
-  std::memcpy(&range_max, bytes.data() + table_offset + sizeof(float),
-              sizeof(float));
-  ASSERT_LT(range_min, range_max);
-  std::memcpy(bytes.data() + table_offset, &range_max, sizeof(float));
-  std::memcpy(bytes.data() + table_offset + sizeof(float), &range_min,
-              sizeof(float));
+  // Header layout: magic, version, dim, M, ef_construction, ef_search, seed,
+  // 4 rng words, max level, entry point, count — 14 u64s.
+  const size_t header_size = 14 * sizeof(uint64_t);
+  ASSERT_GT(bytes.size(), header_size);
+  const auto status_of = [](const std::string& blob) {
+    const auto loaded = HnswIndex::Deserialize(blob);
+    return loaded.ok() ? Status::OK() : loaded.status();
+  };
 
-  std::stringstream corrupted(bytes);
-  const auto loaded = HnswIndex::Deserialize(corrupted.str());
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().ToString().find("SQ8 range"), std::string::npos)
-      << loaded.status().ToString();
+  // A cut anywhere inside the header is a Status naming where it stopped.
+  for (size_t cut = 0; cut <= header_size; ++cut) {
+    const Status status = status_of(bytes.substr(0, cut));
+    ASSERT_FALSE(status.ok()) << "cut at " << cut;
+    const std::string text = status.ToString();
+    EXPECT_TRUE(text.find("hnsw.magic") != std::string::npos ||
+                text.find("hnsw.version") != std::string::npos ||
+                text.find("hnsw.truncated") != std::string::npos)
+        << "cut at " << cut << ": " << text;
+  }
 
-  // Corrupting the sub-magic itself is also named.
-  std::string bad_magic = buffer.str();
-  bad_magic[10 * sizeof(uint64_t)] ^= 0x5a;
-  std::stringstream bad_magic_stream(bad_magic);
-  const auto bad = HnswIndex::Deserialize(bad_magic_stream.str());
-  ASSERT_FALSE(bad.ok());
-  EXPECT_NE(bad.status().ToString().find("SQ8"), std::string::npos)
-      << bad.status().ToString();
+  // Each header field that the decoder checks is named when corrupt.
+  const struct {
+    size_t word;
+    uint64_t value;
+    const char* code;
+  } cases[] = {
+      {1, 2, "hnsw.version"},           // the retired v2 layout
+      {1, 4, "hnsw.version"},
+      {2, 0, "hnsw.params"},            // dim 0
+      {3, 1, "hnsw.params"},            // M below 2
+      {11, 65, "hnsw.level"},           // max level past the sanity bound
+      {12, 30, "hnsw.entry-point"},     // entry point out of range
+  };
+  for (const auto& test_case : cases) {
+    std::string corrupted = bytes;
+    std::memcpy(corrupted.data() + test_case.word * sizeof(uint64_t),
+                &test_case.value, sizeof(uint64_t));
+    const Status status = status_of(corrupted);
+    ASSERT_FALSE(status.ok()) << "word " << test_case.word;
+    EXPECT_NE(status.ToString().find(test_case.code), std::string::npos)
+        << status.ToString();
+  }
 }
 
 TEST(HnswTest, DeserializeRejectsGarbageAndTruncation) {

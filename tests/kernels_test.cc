@@ -148,58 +148,6 @@ TEST(KernelTableTest, ElementwiseKernelsAreBitIdenticalAcrossTables) {
   }
 }
 
-TEST(KernelTableTest, DotI8IsExactAcrossTables) {
-  const KernelTable* avx2 = Avx2TableOrNull();
-  if (avx2 == nullptr) GTEST_SKIP() << "AVX2 unavailable on this build/host";
-  const KernelTable& scalar = ScalarTable();
-  Rng rng(14);
-  for (const size_t n : kSizes) {
-    std::vector<int8_t> a(n);
-    std::vector<int8_t> b(n);
-    for (size_t i = 0; i < n; ++i) {
-      a[i] = static_cast<int8_t>(rng.Uniform(255)) - 127;
-      b[i] = static_cast<int8_t>(rng.Uniform(255)) - 127;
-    }
-    EXPECT_EQ(avx2->dot_i8(a.data(), b.data(), n),
-              scalar.dot_i8(a.data(), b.data(), n))
-        << "n=" << n;
-  }
-}
-
-TEST(KernelTableTest, Sq8DistanceMatchesDecodedFloatDistance) {
-  const KernelTable& scalar = ScalarTable();
-  const KernelTable* avx2 = Avx2TableOrNull();
-  Rng rng(15);
-  for (const size_t n : kSizes) {
-    const std::vector<float> query = RandomFloats(n, &rng);
-    std::vector<float> range_min(n);
-    std::vector<float> scale(n);
-    std::vector<uint8_t> codes(n);
-    for (size_t i = 0; i < n; ++i) {
-      range_min[i] = static_cast<float>(rng.NextGaussian());
-      scale[i] = 0.01f + 0.05f * static_cast<float>(rng.NextFloat());
-      codes[i] = static_cast<uint8_t>(rng.Uniform(256));
-    }
-    // t = query - min; decoded vector = min + scale*code.
-    std::vector<float> t(n);
-    double ref = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      t[i] = query[i] - range_min[i];
-      const double decoded = range_min[i] + scale[i] * codes[i];
-      const double d = query[i] - decoded;
-      ref += d * d;
-    }
-    const float got_scalar =
-        scalar.sq8_distance(t.data(), scale.data(), codes.data(), n);
-    EXPECT_NEAR(got_scalar, ref, ref * 1e-5 + 1e-5) << "n=" << n;
-    if (avx2 != nullptr) {
-      const float got_avx2 =
-          avx2->sq8_distance(t.data(), scale.data(), codes.data(), n);
-      EXPECT_NEAR(got_avx2, got_scalar, ref * 1e-5 + 1e-5) << "n=" << n;
-    }
-  }
-}
-
 TEST(KernelTableTest, F64ExecutorKernelsAreBitIdenticalAcrossTables) {
   // The vectorized query executor's f64 ops are elementwise (no
   // reassociation), so scalar and AVX2 must agree bit-for-bit — query
@@ -336,36 +284,6 @@ TEST(KernelTableTest, MatMulTransposeVariantsAgreeAcrossIsas) {
   }
 }
 
-TEST(KernelTableTest, QuantizedMatMulApproximatesExact) {
-  IsaGuard guard;
-  Rng rng(18);
-  const Tensor x = Tensor::Randn(12, 40, 1.0f, &rng);
-  const Tensor w = Tensor::Randn(17, 40, 0.5f, &rng);
-  const Tensor exact = ops::MatMul(x, w, false, true);
-  const Tensor quant = ops::MatMulNTSq8(x, w);
-  ASSERT_EQ(exact.rows(), quant.rows());
-  ASSERT_EQ(exact.cols(), quant.cols());
-  double max_abs = 0.0;
-  for (size_t i = 0; i < exact.size(); ++i) {
-    max_abs = std::max(max_abs, std::fabs(double{exact.values()[i]}));
-  }
-  for (size_t i = 0; i < exact.size(); ++i) {
-    // int8 symmetric quantization of both operands: ~1% of the row maxima.
-    EXPECT_NEAR(quant.values()[i], exact.values()[i], max_abs * 0.05 + 1e-3)
-        << "i=" << i;
-  }
-  // The int8 path itself is table-independent: identical bits across ISAs.
-  if (Avx2TableOrNull() != nullptr) {
-    ASSERT_TRUE(SetIsa(Isa::kScalar));
-    const Tensor quant_scalar = ops::MatMulNTSq8(x, w);
-    ASSERT_TRUE(SetIsa(Isa::kAvx2));
-    const Tensor quant_avx2 = ops::MatMulNTSq8(x, w);
-    for (size_t i = 0; i < quant_scalar.size(); ++i) {
-      EXPECT_EQ(quant_scalar.values()[i], quant_avx2.values()[i]) << "i=" << i;
-    }
-  }
-}
-
 TEST(KernelTableTest, IsaSpecParsing) {
   Isa isa = Isa::kScalar;
   EXPECT_TRUE(ResolveIsaSpec("scalar", &isa));
@@ -394,17 +312,6 @@ TEST(KernelTableTest, SetIsaSwitchesTheActiveTable) {
     EXPECT_FALSE(SetIsa(Isa::kAvx2));
     EXPECT_EQ(ActiveIsa(), Isa::kScalar);
   }
-}
-
-TEST(KernelTableTest, QuantModeSwitch) {
-  const bool saved = QuantEnabled();
-  SetQuantMode(true);
-  EXPECT_TRUE(QuantEnabled());
-  EXPECT_STREQ(QuantModeName(), "sq8");
-  SetQuantMode(false);
-  EXPECT_FALSE(QuantEnabled());
-  EXPECT_STREQ(QuantModeName(), "f32");
-  SetQuantMode(saved);
 }
 
 TEST(AlignmentTest, TensorBuffersAreKernelAligned) {

@@ -114,6 +114,42 @@ std::string OnlySegmentOf(const std::string& sharded) {
   return segment;
 }
 
+/// Rewrites the current-version GEQOHNSW section that starts at \p at in
+/// \p bytes into the retired v2 layout: version word 2 and, after the seven
+/// header words, the quantization block of a calibrated index — mode 1,
+/// calibration threshold 8, calibrated flag 1, the range-table magic, and
+/// one (min, max) f32 pair per dimension.
+std::string WithVersion2Hnsw(const std::string& bytes, size_t at) {
+  constexpr uint64_t kRangeTableMagic = 0x484e535753513821ULL;
+  uint64_t dim = 0;
+  std::memcpy(&dim, bytes.data() + at + 2 * sizeof(uint64_t), sizeof(dim));
+  std::ostringstream block;
+  io::BinaryWriter writer(block, "v2 quantization block");
+  for (const uint64_t word : {uint64_t{1}, uint64_t{8}, uint64_t{1},
+                              kRangeTableMagic}) {
+    writer.U64(word);
+  }
+  for (uint64_t i = 0; i < dim; ++i) {
+    writer.F32(-1.0f);
+    writer.F32(1.0f);
+  }
+  GEQO_CHECK_OK(writer.status());
+  std::string out = bytes;
+  const uint64_t version = 2;
+  std::memcpy(out.data() + at + sizeof(uint64_t), &version, sizeof(version));
+  out.insert(at + 7 * sizeof(uint64_t), block.str());
+  return out;
+}
+
+/// The offset of the first GEQOHNSW magic in \p bytes.
+size_t HnswSectionOffset(const std::string& bytes) {
+  const std::string magic(reinterpret_cast<const char*>(&io::kHnswMagic),
+                          sizeof(uint64_t));
+  const size_t at = bytes.find(magic);
+  GEQO_CHECK(at != std::string::npos) << "no GEQOHNSW section";
+  return at;
+}
+
 // Shared fixture: one small system + serving catalog saved once, reused by
 // every corruption test in the suite.
 class ArtifactLintTest : public ::testing::Test {
@@ -280,22 +316,6 @@ class ArtifactLintTest : public ::testing::Test {
     return RefreshFooters(std::move(out), SegmentSpans(bytes));
   }
 
-  /// Inserts \p insert at \p at inside shard \p sid's segment, growing its
-  /// length prefix, and refreshes every footer.
-  static std::string InsertIntoSegment(const std::string& bytes, size_t sid,
-                                       size_t at, const std::string& insert) {
-    std::vector<SegmentSpan> spans = SegmentSpans(bytes);
-    std::string out = bytes;
-    out.insert(spans[sid].begin + at, insert);
-    spans[sid].size += insert.size();
-    std::memcpy(out.data() + spans[sid].begin - sizeof(uint64_t),
-                &spans[sid].size, sizeof(uint64_t));
-    for (size_t later = sid + 1; later < spans.size(); ++later) {
-      spans[later].begin += insert.size();
-    }
-    return RefreshFooters(std::move(out), spans);
-  }
-
   /// The decoded sharded fixture, for locating fields by structure.
   static serve::ShardedSnapshotImage DecodedSharded(const std::string& bytes) {
     serve::ShardedSnapshotImage image;
@@ -394,23 +414,62 @@ TEST_F(ArtifactLintTest, BitFlipsAreDetectedEverywhere) {
 
 TEST_F(ArtifactLintTest, SystemSnapshotSingleByteFlipSweep) {
   // Every byte of the system snapshot under three masks: the linter and the
-  // loader must both reject each flip, without aborting or throwing. Flips
-  // in the agnostic layout fields once took the linter past
+  // loader's decoder must both reject each flip, without aborting or
+  // throwing. Flips in the agnostic layout fields once took the linter past
   // EncodingLayout::Agnostic's bound (a GEQO_CHECK abort).
+  //
+  // The sweep runs in memory. LoadSnapshot's verdict on bytes is
+  // DecodeSystemSnapshot's, and past the magic the linter runs that decoder
+  // and reports its errors, which carry snapshot.* or model.* codes (the
+  // linter's own policy codes are emf.*). So one lint call per flip shows
+  // both verdicts; a flip of the magic, which the linter cannot sniff, is
+  // decoded directly. A file-backed load of one flip per region follows.
+  const auto decoder_refused = [](const Diagnostics& findings) {
+    for (const Diagnostic& finding : findings) {
+      if (finding.code.rfind("snapshot.", 0) == 0 ||
+          finding.code.rfind("model.", 0) == 0) {
+        return true;
+      }
+    }
+    return false;
+  };
   const std::string bytes = ReadFile(system_path_);
+  std::string flipped = bytes;
   for (size_t offset = 0; offset < bytes.size(); ++offset) {
     for (const unsigned char mask : {0x01, 0x80, 0xFF}) {
-      std::string flipped = bytes;
-      flipped[offset] = static_cast<char>(flipped[offset] ^ mask);
+      flipped[offset] = static_cast<char>(bytes[offset] ^ mask);
       Diagnostics findings;
       EXPECT_NO_THROW(findings = Lint(flipped));
       EXPECT_TRUE(HasFindings(findings))
           << "flip " << static_cast<int>(mask) << " at " << offset;
-      Status load;
-      EXPECT_NO_THROW(load = LoadSystem(flipped));
-      EXPECT_FALSE(load.ok())
-          << "flip " << static_cast<int>(mask) << " at " << offset;
+      if (offset < sizeof(uint64_t)) {
+        SystemSnapshotImage image;
+        io::DecodeErrors errors;
+        EXPECT_NO_THROW(DecodeSystemSnapshot(flipped, &image, &errors));
+        EXPECT_TRUE(HasCode(findings, "artifact.unknown-magic"))
+            << CodesOf(findings);
+        EXPECT_FALSE(errors.empty())
+            << "flip " << static_cast<int>(mask) << " at " << offset;
+      } else {
+        EXPECT_TRUE(decoder_refused(findings))
+            << "flip " << static_cast<int>(mask) << " at " << offset << ": "
+            << CodesOf(findings);
+      }
     }
+    flipped[offset] = bytes[offset];
+  }
+
+  // One file-backed load per region: magic, version, schema fingerprint,
+  // agnostic layout, calibration (radius, threshold), model state, footer.
+  const size_t footer = bytes.size() - sizeof(uint64_t);
+  for (const size_t offset :
+       {size_t{0}, size_t{8}, size_t{16}, size_t{24}, size_t{40},
+        (48 + footer) / 2, footer + 3}) {
+    flipped[offset] = static_cast<char>(bytes[offset] ^ 0x80);
+    Status load;
+    EXPECT_NO_THROW(load = LoadSystem(flipped));
+    EXPECT_FALSE(load.ok()) << "flip at " << offset;
+    flipped[offset] = bytes[offset];
   }
 }
 
@@ -558,8 +617,8 @@ TEST_F(ArtifactLintTest, ShardedPendingPairsOutOfOrder) {
 
 TEST_F(ArtifactLintTest, ShardedImportRefusesHugeCountsWithoutThrowing) {
   // Footer-refreshed counts that once reached an allocation before any
-  // bound: an HNSW vector count of 2^40 and an SQ8-calibrated dim of 2^40
-  // (std::bad_alloc), a memo count of 2^62 (std::bad_array_new_length),
+  // bound: an HNSW vector count of 2^40 (std::bad_alloc), an HNSW dim of
+  // 2^40, a memo count of 2^62 (std::bad_array_new_length),
   // and a pending count near the payload size (a VerifyTask reserve sized
   // by the file). Each must be a Status from the loader and a named
   // finding from the linter.
@@ -570,15 +629,11 @@ TEST_F(ArtifactLintTest, ShardedImportRefusesHugeCountsWithoutThrowing) {
   while (image.segments[sid].canonical_hashes.empty()) ++sid;
   const serve::CatalogSegmentImage& segment = image.segments[sid];
   const size_t base = spans[sid].begin;
-  // GEQOHNSW: 7 parameter words, 3 quantization words, the SQ8 block when
-  // calibrated, 4 rng words, max level, entry point, then the count.
+  // GEQOHNSW: 7 parameter words, 4 rng words, max level, entry point, then
+  // the count.
   const size_t hnsw = 5 * sizeof(uint64_t) +
                       segment.canonical_hashes.size() * sizeof(uint64_t);
-  const bool sq8 = segment.index.options.quant == ann::QuantOverride::kOn &&
-                   segment.index.calibrated;
-  const size_t sq8_size =
-      sq8 ? sizeof(uint64_t) + segment.index.dim * 2 * sizeof(float) : 0;
-  const size_t hnsw_count = hnsw + 16 * sizeof(uint64_t) + sq8_size;
+  const size_t hnsw_count = hnsw + 13 * sizeof(uint64_t);
   // The memo is the last section before the end magic and the footer.
   const size_t memo_count = spans[sid].size - 3 * sizeof(uint64_t) -
                             segment.memo.size() * (4 * sizeof(uint64_t) + 1);
@@ -597,17 +652,6 @@ TEST_F(ArtifactLintTest, ShardedImportRefusesHugeCountsWithoutThrowing) {
   ASSERT_EQ(word(base + memo_count), segment.memo.size());
   ASSERT_EQ(word(pending_count), image.pending.size());
 
-  // A calibrated SQ8 index with a 2^40-dimension range table: flags set and
-  // the HNSWSQ8! sub-magic spliced in (when absent) right after them.
-  std::string calibrated = MutateShardedU64(bytes, base + hnsw + 16, 1ull << 40);
-  calibrated = MutateShardedU64(calibrated, base + hnsw + 56, 1);
-  calibrated = MutateShardedU64(calibrated, base + hnsw + 72, 1);
-  if (!sq8) {
-    std::string magic(sizeof(uint64_t), '\0');
-    std::memcpy(magic.data(), &io::kHnswSq8Magic, sizeof(uint64_t));
-    calibrated = InsertIntoSegment(calibrated, sid, hnsw + 80, magic);
-  }
-
   const struct {
     const char* name;
     std::string bytes;
@@ -616,7 +660,8 @@ TEST_F(ArtifactLintTest, ShardedImportRefusesHugeCountsWithoutThrowing) {
       {"hnsw count 2^40",
        MutateShardedU64(bytes, base + hnsw_count, 1ull << 40),
        "hnsw.truncated"},
-      {"sq8 dim 2^40", calibrated, "hnsw.quant-range"},
+      {"hnsw dim 2^40", MutateShardedU64(bytes, base + hnsw + 16, 1ull << 40),
+       "hnsw.params"},
       {"memo count 2^62",
        MutateShardedU64(bytes, base + memo_count, 1ull << 62),
        "catalog.truncated"},
@@ -633,6 +678,45 @@ TEST_F(ArtifactLintTest, ShardedImportRefusesHugeCountsWithoutThrowing) {
     EXPECT_TRUE(HasCode(findings, test_case.code))
         << test_case.name << ": " << CodesOf(findings);
   }
+}
+
+TEST_F(ArtifactLintTest, HnswVersion2IsRefusedByEveryReader) {
+  // The v2 GEQOHNSW layout carried a quantization block that v3 dropped.
+  // No reader decodes it: each refuses the version word with hnsw.version,
+  // as a Status or a finding, before it reaches the block.
+  ann::HnswIndex index(4);
+  Rng rng(5);
+  for (int i = 0; i < 20; ++i) {
+    index.Add({rng.NextFloat(), rng.NextFloat(), rng.NextFloat(),
+               rng.NextFloat()});
+  }
+  std::ostringstream out;
+  GEQO_CHECK_OK(index.Serialize(out));
+  const std::string standalone = WithVersion2Hnsw(out.str(), 0);
+
+  const auto loaded = ann::HnswIndex::Deserialize(standalone);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().ToString().find("hnsw.version"), std::string::npos)
+      << loaded.status().ToString();
+
+  Diagnostics findings;
+  EXPECT_NO_THROW(findings = Lint(standalone));
+  EXPECT_TRUE(HasCode(findings, "hnsw.version")) << CodesOf(findings);
+
+  // The serving catalog segment with its index section rewritten to v2, the
+  // segment footer recomputed so the structural decoder must object.
+  const std::string segment = ReadFile(catalog_path_);
+  std::string payload = segment.substr(0, segment.size() - sizeof(uint64_t));
+  payload = WithVersion2Hnsw(payload, HnswSectionOffset(payload));
+  std::ostringstream refreshed;
+  GEQO_CHECK_OK(io::WriteChecksummed(refreshed, payload, "v2 segment"));
+  Status load;
+  EXPECT_NO_THROW(load = LoadServing(refreshed.str()));
+  ASSERT_FALSE(load.ok());
+  EXPECT_NE(load.ToString().find("hnsw.version"), std::string::npos)
+      << load.ToString();
+  EXPECT_NO_THROW(findings = Lint(refreshed.str()));
+  EXPECT_TRUE(HasCode(findings, "hnsw.version")) << CodesOf(findings);
 }
 
 TEST_F(ArtifactLintTest, ShardedFieldSweepLintMatchesLoader) {
@@ -952,11 +1036,8 @@ TEST(HnswLintTest, CleanIndexAndCorruptions) {
   EXPECT_TRUE(HasCode(trailing, "hnsw.trailing")) << CodesOf(trailing);
 }
 
-TEST(HnswLintTest, CorruptedCalibrationIsNamed) {
-  ann::HnswOptions options;
-  options.quant = ann::QuantOverride::kOn;
-  options.sq8_calibration = 8;
-  ann::HnswIndex index(4, options);
+TEST(HnswLintTest, CorruptedHeaderIsNamed) {
+  ann::HnswIndex index(4);
   Rng rng(4);
   for (int i = 0; i < 20; ++i) {
     index.Add({rng.NextFloat(), rng.NextFloat(), rng.NextFloat(),
@@ -968,35 +1049,32 @@ TEST(HnswLintTest, CorruptedCalibrationIsNamed) {
   EXPECT_TRUE(LintArtifactBytes(bytes).empty())
       << CodesOf(LintArtifactBytes(bytes));
 
-  // Quant block layout: 7 header u64s, then quant_enabled / threshold /
-  // calibrated u64s, the HNSWSQ8! sub-magic, and the per-dim range table.
-  const size_t quant_offset = 7 * sizeof(uint64_t);
-  const size_t magic_offset = 10 * sizeof(uint64_t);
-  const size_t table_offset = 11 * sizeof(uint64_t);
+  // Header layout: magic, version, dim, M, ef_construction, ef_search, seed,
+  // 4 rng words, max level, entry point, count.
+  const struct {
+    size_t word;
+    uint64_t value;
+    const char* code;
+  } cases[] = {
+      {1, 2, "hnsw.version"},        // the retired v2 layout
+      {2, 0, "hnsw.params"},         // dim 0
+      {3, 1, "hnsw.params"},         // M below 2
+      {11, 65, "hnsw.level"},        // max level past the sanity bound
+      {12, 20, "hnsw.entry-point"},  // entry point out of range
+  };
+  for (const auto& test_case : cases) {
+    std::string corrupted = bytes;
+    std::memcpy(corrupted.data() + test_case.word * sizeof(uint64_t),
+                &test_case.value, sizeof(uint64_t));
+    const Diagnostics findings = LintArtifactBytes(corrupted);
+    EXPECT_TRUE(HasCode(findings, test_case.code))
+        << "word " << test_case.word << ": " << CodesOf(findings);
+  }
 
-  std::string bad_flag = bytes;
-  bad_flag[quant_offset] = 7;  // quant_enabled must be 0 or 1
-  const Diagnostics flag = LintArtifactBytes(bad_flag);
-  EXPECT_TRUE(HasCode(flag, "hnsw.quant")) << CodesOf(flag);
-
-  std::string bad_magic = bytes;
-  bad_magic[magic_offset] ^= 0x5a;
-  const Diagnostics magic = LintArtifactBytes(bad_magic);
-  EXPECT_TRUE(HasCode(magic, "hnsw.quant-magic")) << CodesOf(magic);
-
-  // Swap the first (min, max) pair so min > max.
-  std::string bad_range = bytes;
-  float range_min = 0.0f;
-  float range_max = 0.0f;
-  std::memcpy(&range_min, bad_range.data() + table_offset, sizeof(float));
-  std::memcpy(&range_max, bad_range.data() + table_offset + sizeof(float),
-              sizeof(float));
-  ASSERT_LT(range_min, range_max);
-  std::memcpy(bad_range.data() + table_offset, &range_max, sizeof(float));
-  std::memcpy(bad_range.data() + table_offset + sizeof(float), &range_min,
-              sizeof(float));
-  const Diagnostics range = LintArtifactBytes(bad_range);
-  EXPECT_TRUE(HasCode(range, "hnsw.quant-range")) << CodesOf(range);
+  // A cut inside the header after the version word is a truncation finding.
+  const Diagnostics cut =
+      LintArtifactBytes(bytes.substr(0, 9 * sizeof(uint64_t)));
+  EXPECT_TRUE(HasCode(cut, "hnsw.truncated")) << CodesOf(cut);
 }
 
 // ---------------------------------------------------------------------------
